@@ -1,5 +1,18 @@
 open Ptg_snapshot
 
+(* The section [name] holding what [fill] writes, and the value [get]
+   reads from the whole of section [name]. *)
+let section name fill =
+  let b = Codec.writer () in
+  fill b;
+  Snapshot.section ~name (Codec.contents b)
+
+let decode ~what sections name get =
+  let r = Snapshot.reader ~what sections name in
+  let v = get r in
+  Codec.expect_end r;
+  v
+
 (* ------------------------------------------------------------------ *)
 (* Meta section                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -12,35 +25,36 @@ open Ptg_snapshot
 type meta = { m_kind : string; m_key : string; m_count : int }
 
 let meta_section m =
-  let b = Codec.writer () in
-  Codec.put_string b m.m_kind;
-  Codec.put_string b m.m_key;
-  Codec.put_varint b m.m_count;
-  Snapshot.section ~name:"meta" (Codec.contents b)
+  section "meta" (fun b ->
+      Codec.put_string b m.m_kind;
+      Codec.put_string b m.m_key;
+      Codec.put_varint b m.m_count)
 
-let meta_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "meta" in
-  let m_kind = Codec.get_string r in
-  let m_key = Codec.get_string r in
-  let m_count = Codec.get_varint r in
-  Codec.expect_end r;
-  { m_kind; m_key; m_count }
-
-let check_meta ~what ~kind ~key m =
+(* Load [path] and validate its meta section against [kind] and [key];
+   returns the checkpoint's count and all its sections. *)
+let load_checked ~kind ~key path =
+  let sections = Snapshot.load ~path in
+  let m =
+    decode ~what:path sections "meta" (fun r ->
+        let m_kind = Codec.get_string r in
+        let m_key = Codec.get_string r in
+        let m_count = Codec.get_varint r in
+        { m_kind; m_key; m_count })
+  in
   if m.m_kind <> kind then
     invalid_arg
-      (Printf.sprintf "Snapshot.load: %s: checkpoint kind %S, want %S" what
+      (Printf.sprintf "Snapshot.load: %s: checkpoint kind %S, want %S" path
          m.m_kind kind);
   if m.m_key <> key then
     invalid_arg
-      (Printf.sprintf "Snapshot.load: %s: checkpoint key %s, want %s" what
-         m.m_key key)
+      (Printf.sprintf "Snapshot.load: %s: checkpoint key %s, want %s" path
+         m.m_key key);
+  (m.m_count, sections)
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start store: <dir>/<key>.<count>.ptgs                          *)
 (* ------------------------------------------------------------------ *)
 
-let file_name = Snapshot.store_file_name
 let path = Snapshot.store_path
 
 (* Counts present in the store for [key], newest first. *)
@@ -51,12 +65,61 @@ let stored_counts = Snapshot.store_counts
    and a long served run grows the store without bound. *)
 let default_keep = 2
 
-(* Best usable checkpoint at or below [upto] instructions/rows. *)
-let find_latest ~dir ~key ~upto =
-  List.find_opt (fun n -> n <= upto && n > 0) (stored_counts ~dir ~key)
+(* Missing parents are created too; a peer creating the same directory
+   concurrently (two shards on one fresh store) is not an error. *)
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then ensure_dir parent;
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+(* Warm start: the deepest stored count in [lo, hi] that [load] accepts.
+   A damaged or mismatched file is skipped (the store is an
+   optimization), and so is one a sharing peer pruned between our
+   readdir and the open; shallower candidates are tried in order. *)
+let adopt_deepest ?dir ~adopt ~key ~lo ~hi load =
+  match dir with
+  | Some dir when adopt ->
+      stored_counts ~dir ~key
+      |> List.filter (fun n -> n >= lo && n <= hi)
+      |> List.find_map (fun n ->
+             try load (path ~dir ~key n) n
+             with Invalid_argument _ | Sys_error _ -> None)
+  | _ -> None
+
+(* Save the checkpoint of depth [n] unless the store already has it
+   (a completed prefix is immutable), then prune to the deepest [keep]. *)
+let save_if_absent ~keep ~dir ~key n sections =
+  ensure_dir dir;
+  let p = path ~dir ~key n in
+  if not (Sys.file_exists p) then begin
+    Snapshot.save ~path:p (sections ());
+    ignore (Snapshot.prune ~keep ~dir ~key ())
+  end
+
+let never_stop () = false
+let no_progress ~done_count:_ ~total:_ = ()
+
+(* The one chunk loop every driver runs: advance the run to [total]
+   (instructions or units) in chunks of [every] — one chunk when absent
+   — polling [should_stop] before each chunk. A checkpoint follows every
+   chunk when [every] is given, else only completion, and a stop always
+   checkpoints the position reached. Returns whether the run completed. *)
+let chunked ~every ~total ~should_stop ~progress ~done_count ~advance
+    ~checkpoint =
+  let chunk = match every with Some e when e > 0 -> e | _ -> total in
+  let stopped = ref false in
+  while (not !stopped) && done_count () < total do
+    if should_stop () then stopped := true
+    else begin
+      advance (min chunk (total - done_count ()));
+      if every <> None || done_count () >= total then checkpoint ();
+      progress ~done_count:(done_count ()) ~total
+    end
+  done;
+  if !stopped then checkpoint ();
+  not !stopped
 
 (* ------------------------------------------------------------------ *)
 (* Fullsys checkpoints                                                 *)
@@ -88,12 +151,7 @@ let fullsys_key ?(config = Fullsys.default_config) ?(pages = 2048) ~seed () =
 
 let fullsys_sections ~key (m : Fullsys.t) =
   let s = Fullsys.state m in
-  let w = Codec.writer in
-  let sec name fill =
-    let b = w () in
-    fill b;
-    Snapshot.section ~name (Codec.contents b)
-  in
+  let sec = section in
   [
     meta_section { m_kind = "fullsys"; m_key = key; m_count = s.Fullsys.s_instr };
     sec "rng" (fun b -> Sections.put_words b s.Fullsys.s_rng);
@@ -122,42 +180,34 @@ let fullsys_sections ~key (m : Fullsys.t) =
   ]
 
 let fullsys_state_of_sections ~what sections : Fullsys.state =
-  let sect name = Snapshot.reader ~what sections name in
-  let finish r v =
-    Codec.expect_end r;
-    v
+  let get name f = decode ~what sections name f in
+  let s_rng = get "rng" Sections.get_words in
+  let s_dram = get "dram" Sections.get_dram in
+  let s_fault = get "fault" Sections.get_fault in
+  let s_engine = get "engine" (fun r -> Codec.get_option r Sections.get_engine) in
+  let s_mc_now = get "memctrl" Codec.get_int in
+  let s_table, s_alloc =
+    get "vm" (fun r ->
+        let table = Sections.get_page_table r in
+        (table, Sections.get_frame_allocator r))
   in
-  let r = sect "rng" in
-  let s_rng = finish r (Sections.get_words r) in
-  let r = sect "dram" in
-  let s_dram = finish r (Sections.get_dram r) in
-  let r = sect "fault" in
-  let s_fault = finish r (Sections.get_fault r) in
-  let r = sect "engine" in
-  let s_engine = finish r (Codec.get_option r Sections.get_engine) in
-  let r = sect "memctrl" in
-  let s_mc_now = finish r (Codec.get_int r) in
-  let r = sect "vm" in
-  let s_table = Sections.get_page_table r in
-  let s_alloc = finish r (Sections.get_frame_allocator r) in
-  let r = sect "tlb" in
-  let s_tlb = finish r (Sections.get_tlb r) in
-  let r = sect "translations" in
+  let s_tlb = get "tlb" Sections.get_tlb in
   let s_translations =
-    finish r
-      (Codec.get_list r (fun r ->
-           let vpn = Codec.get_i64 r in
-           let paddr = Codec.get_i64 r in
-           (vpn, paddr)))
+    get "translations" (fun r ->
+        Codec.get_list r (fun r ->
+            let vpn = Codec.get_i64 r in
+            let paddr = Codec.get_i64 r in
+            (vpn, paddr)))
   in
-  let r = sect "counters" in
+  let r = Snapshot.reader ~what sections "counters" in
   let s_instr = Codec.get_varint r in
   let s_now = Codec.get_varint r in
   let s_walks = Codec.get_varint r in
   let s_walk_corrections = Codec.get_varint r in
   let s_walk_exceptions = Codec.get_varint r in
   let s_refaults = Codec.get_varint r in
-  let s_wrong_translations = finish r (Codec.get_varint r) in
+  let s_wrong_translations = Codec.get_varint r in
+  Codec.expect_end r;
   {
     Fullsys.s_rng;
     s_dram;
@@ -180,14 +230,12 @@ let fullsys_state_of_sections ~what sections : Fullsys.state =
 let fullsys_save ~path ~key m = Snapshot.save ~path (fullsys_sections ~key m)
 
 let fullsys_restore ~path ~key m =
-  let sections = Snapshot.load ~path in
-  let meta = meta_of_sections ~what:path sections in
-  check_meta ~what:path ~kind:"fullsys" ~key meta;
+  let count, sections = load_checked ~kind:"fullsys" ~key path in
   Fullsys.set_state m (fullsys_state_of_sections ~what:path sections);
-  meta.m_count
+  count
 
 (* ------------------------------------------------------------------ *)
-(* Chunked fullsys driver                                              *)
+(* Chunked fullsys driver: the instruction-prefix case                 *)
 (* ------------------------------------------------------------------ *)
 
 type fullsys_outcome = {
@@ -197,9 +245,6 @@ type fullsys_outcome = {
   f_resumed_from : int option;
 }
 
-let never_stop () = false
-let no_progress ~done_count:_ ~total:_ = ()
-
 let run_fullsys ?config ?pages ?key ?(keep = default_keep) ?every ?dir
     ?(adopt = true) ?(should_stop = never_stop) ?(progress = no_progress) ~seed
     ~instrs () =
@@ -207,106 +252,224 @@ let run_fullsys ?config ?pages ?key ?(keep = default_keep) ?every ?dir
     match key with Some k -> k | None -> fullsys_key ?config ?pages ~seed ()
   in
   let m = Fullsys.create ?config ?pages ~seed () in
-  (* Warm start: adopt the deepest stored checkpoint not past the
-     budget. A damaged or mismatched file is skipped (the store is an
-     optimization); deeper candidates are tried in order. *)
   let resumed_from =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        stored_counts ~dir ~key
-        |> List.filter (fun n -> n <= instrs && n > 0)
-        |> List.find_map (fun n ->
-               match fullsys_restore ~path:(path ~dir ~key n) ~key m with
-               | count -> Some count
-               | exception Invalid_argument _ -> None
-               (* A sharing peer may prune a file between our readdir
-                  and the open; skip it like any other dead candidate. *)
-               | exception Sys_error _ -> None)
-  in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = Fullsys.instrs_done m in
-        let p = path ~dir ~key n in
-        if not (Sys.file_exists p) then begin
-          fullsys_save ~path:p ~key m;
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
+    adopt_deepest ?dir ~adopt ~key ~lo:1 ~hi:instrs (fun p _ ->
+        Some (fullsys_restore ~path:p ~key m))
   in
   (* Make the adopted depth visible to progress streams before any new
      work happens (also the only progress a full-depth adoption emits). *)
-  (match resumed_from with
-  | Some n -> progress ~done_count:n ~total:instrs
-  | None -> ());
-  let chunk = match every with Some e when e > 0 -> e | _ -> instrs in
-  let stopped = ref false in
-  while (not !stopped) && Fullsys.instrs_done m < instrs do
-    if should_stop () then stopped := true
-    else begin
-      let step = min chunk (instrs - Fullsys.instrs_done m) in
-      ignore (Fullsys.run m ~instrs:step);
-      if every <> None || Fullsys.instrs_done m >= instrs then checkpoint ();
-      progress ~done_count:(Fullsys.instrs_done m) ~total:instrs
-    end
-  done;
-  if !stopped then checkpoint ();
+  Option.iter (fun n -> progress ~done_count:n ~total:instrs) resumed_from;
+  let completed =
+    chunked ~every ~total:instrs ~should_stop ~progress
+      ~done_count:(fun () -> Fullsys.instrs_done m)
+      ~advance:(fun step -> ignore (Fullsys.run m ~instrs:step))
+      ~checkpoint:(fun () ->
+        Option.iter
+          (fun dir ->
+            save_if_absent ~keep ~dir ~key (Fullsys.instrs_done m) (fun () ->
+                fullsys_sections ~key m))
+          dir)
+  in
   {
     f_result = Fullsys.totals m;
-    f_completed = not !stopped;
+    f_completed = completed;
     f_done = Fullsys.instrs_done m;
     f_resumed_from = resumed_from;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fig6 row-batch checkpoints                                          *)
+(* Unit-prefix driver: the batched experiments                         *)
 (* ------------------------------------------------------------------ *)
 
-let fig6_rows_sections ~key ~total rows =
-  let b = Codec.writer () in
-  Codec.put_varint b total;
-  Codec.put_list b
-    (fun b (r : Fig6.row) ->
+(* How one batched experiment persists. A checkpoint holds the meta
+   section, then the sweep's shared value when it is stored (Fig. 7's
+   baselines), then the units section: the unit total, the run
+   constants [head] writes and checks (Fig. 9's flip probabilities), and
+   the completed-unit prefix. [belongs u o] says a stored output is unit
+   [u]'s, so a prefix stored for another unit list is never adopted. *)
+type ('p, 'u, 'o) codec = {
+  kind : string;
+  section : string;
+  head : (Codec.writer -> unit) * (Codec.reader -> bool);
+  put : Codec.writer -> 'o -> unit;
+  get : Codec.reader -> 'o;
+  belongs : 'u -> 'o -> bool;
+  shared : 'p shared_codec option;
+}
+
+(* [s_get] answers [None] for a shared value stored by another run. *)
+and 'p shared_codec = {
+  s_section : string;
+  s_put : Codec.writer -> 'p -> unit;
+  s_get : Codec.reader -> 'p option;
+}
+
+let no_head = (ignore, fun _ -> true)
+
+type ('o, 'r) units_outcome = {
+  u_result : 'r option;
+  u_done : 'o list;
+  u_completed : bool;
+  u_resumed_from : int option;
+}
+
+(* Without [~key]: hash the kind and every run parameter, so runs that
+   differ in anything but depth never share a store key. *)
+let fallback_key key ~kind params =
+  match key with
+  | Some k -> k
+  | None ->
+      ("kind", Printf.sprintf "%S" kind) :: params
+      |> List.sort compare
+      |> List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v)
+      |> String.concat ","
+      |> Printf.sprintf "{%s}" |> Codec.fnv1a64 |> Snapshot.hash_hex
+
+let int_list l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+
+let names_list specs =
+  "["
+  ^ String.concat ","
+      (List.map (fun s -> Printf.sprintf "%S" s.Ptg_workloads.Workload.name) specs)
+  ^ "]"
+
+(* Every field of the PT-Guard configuration; the layout by name. *)
+let config_param (c : Ptguard.Config.t) =
+  let { Ptguard.Config.design; mac_latency_cycles; mac_bits; soft_match_k;
+        correction_enabled; zero_pte_max_bits; layout = _; ctb_entries;
+        qarma_rounds } = c in
+  ( "config",
+    Printf.sprintf
+      "{\"correction\":%b,\"ctb\":%d,\"design\":%S,\"layout\":%S,\"mac_bits\":%d,\"mac_latency\":%d,\"rounds\":%d,\"soft_k\":%d,\"zero_bits\":%d}"
+      correction_enabled ctb_entries
+      (Ptguard.Config.design_name design)
+      (Ptguard.Config.layout_name c)
+      mac_bits mac_latency_cycles qarma_rounds soft_match_k zero_pte_max_bits )
+
+(* Adopt the deepest intact stored prefix, then compute the missing units
+   in ordered batches of [every] through the same fan-out as
+   [Sweep.run], checkpointing the completed prefix. A stored shared value
+   is the first chunk, and a count-0 (shared-only) checkpoint is legal. *)
+let run_units ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
+    ?(should_stop = never_stop) ?(progress = no_progress) ~params codec
+    (sweep : _ Sweep.t) =
+  let key = fallback_key key ~kind:codec.kind params in
+  let units = sweep.Sweep.units in
+  let total = List.length units in
+  let sections shared outs =
+    let units_section =
+      section codec.section (fun b ->
+          Codec.put_varint b total;
+          fst codec.head b;
+          Codec.put_list b codec.put outs)
+    in
+    meta_section { m_kind = codec.kind; m_key = key; m_count = List.length outs }
+    :: (match codec.shared with
+       | None -> [ units_section ]
+       | Some s ->
+           [ section s.s_section (fun b -> s.s_put b shared); units_section ])
+  in
+  let load p n =
+    let _, stored = load_checked ~kind:codec.kind ~key p in
+    let shared =
+      Option.map (fun s -> decode ~what:p stored s.s_section s.s_get) codec.shared
+    in
+    let stored_total, head_ok, outs =
+      decode ~what:p stored codec.section (fun r ->
+          let stored_total = Codec.get_varint r in
+          let head_ok = snd codec.head r in
+          (stored_total, head_ok, Codec.get_list r codec.get))
+    in
+    if
+      stored_total = total && head_ok
+      && List.length outs = n
+      && List.for_all2 codec.belongs (List.filteri (fun i _ -> i < n) units) outs
+    then
+      match shared with
+      | None -> Some (None, outs)
+      | Some (Some v) -> Some (Some v, outs)
+      | Some None -> None
+    else None
+  in
+  let floor = if Option.is_none codec.shared then 1 else 0 in
+  let resumed = adopt_deepest ?dir ~adopt ~key ~lo:floor ~hi:total load in
+  let shared =
+    ref
+      (match (codec.shared, resumed) with
+      | None, _ -> Some (sweep.Sweep.shared ?jobs ())
+      | Some _, Some (v, _) -> v
+      | Some _, None -> None)
+  in
+  let outs = ref (match resumed with Some (_, o) -> o | None -> []) in
+  let checkpoint () =
+    match (dir, !shared) with
+    | Some dir, Some v when List.length !outs >= floor ->
+        save_if_absent ~keep ~dir ~key (List.length !outs) (fun () ->
+            sections v !outs)
+    | _ -> ()
+  in
+  Option.iter (fun (_, o) -> progress ~done_count:(List.length o) ~total) resumed;
+  (* A stored shared value is the first chunk. *)
+  let stopped_early =
+    if Option.is_some !shared then false
+    else if should_stop () then true
+    else begin
+      shared := Some (sweep.Sweep.shared ?jobs ());
+      if every <> None then checkpoint ();
+      progress ~done_count:0 ~total;
+      false
+    end
+  in
+  let completed =
+    (not stopped_early)
+    && chunked ~every ~total ~should_stop ~progress
+         ~done_count:(fun () -> List.length !outs)
+         ~advance:(fun step ->
+           let n = List.length !outs in
+           let batch = List.filteri (fun i _ -> i >= n && i < n + step) units in
+           outs :=
+             !outs
+             @ Sweep.map ?jobs (sweep.Sweep.run_unit (Option.get !shared)) batch)
+         ~checkpoint
+  in
+  {
+    u_result = (if completed then Some (sweep.Sweep.merge !outs) else None);
+    u_done = !outs;
+    u_completed = completed;
+    u_resumed_from = Option.map (fun (_, o) -> List.length o) resumed;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The batched experiments as unit-prefix instances                    *)
+(* ------------------------------------------------------------------ *)
+
+let fig6_codec =
+  {
+    kind = "fig6";
+    section = "fig6.rows";
+    head = no_head;
+    shared = None;
+    put = (fun b (r : Fig6.row) ->
       Codec.put_string b r.Fig6.workload;
       Codec.put_float b r.mpki;
       Codec.put_float b r.base_ipc;
       Codec.put_float b r.norm_ipc;
       Codec.put_float b r.slowdown_pct;
       Codec.put_varint b r.pte_dram_reads;
-      Codec.put_varint b r.dram_reads)
-    rows;
-  [
-    meta_section { m_kind = "fig6"; m_key = key; m_count = List.length rows };
-    Snapshot.section ~name:"fig6.rows" (Codec.contents b);
-  ]
-
-let fig6_rows_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "fig6.rows" in
-  let total = Codec.get_varint r in
-  let rows =
-    Codec.get_list r (fun r ->
-        let workload = Codec.get_string r in
-        let mpki = Codec.get_float r in
-        let base_ipc = Codec.get_float r in
-        let norm_ipc = Codec.get_float r in
-        let slowdown_pct = Codec.get_float r in
-        let pte_dram_reads = Codec.get_varint r in
-        let dram_reads = Codec.get_varint r in
-        {
-          Fig6.workload;
-          mpki;
-          base_ipc;
-          norm_ipc;
-          slowdown_pct;
-          pte_dram_reads;
-          dram_reads;
-        })
-  in
-  Codec.expect_end r;
-  (total, rows)
+      Codec.put_varint b r.dram_reads);
+    get = (fun r ->
+      let workload = Codec.get_string r in
+      let mpki = Codec.get_float r in
+      let base_ipc = Codec.get_float r in
+      let norm_ipc = Codec.get_float r in
+      let slowdown_pct = Codec.get_float r in
+      let pte_dram_reads = Codec.get_varint r in
+      let dram_reads = Codec.get_varint r in
+      { Fig6.workload; mpki; base_ipc; norm_ipc; slowdown_pct; pte_dram_reads;
+        dram_reads });
+    belongs =
+      (fun spec (r : Fig6.row) -> r.Fig6.workload = spec.Ptg_workloads.Workload.name);
+  }
 
 type fig6_outcome = {
   g_result : Fig6.result option; (* None when stopped before the last row *)
@@ -315,105 +478,21 @@ type fig6_outcome = {
   g_resumed_from : int option;
 }
 
-let run_fig6 ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress) ~instrs ~warmup ~seed
-    ~config ~workloads () =
-  let total = List.length workloads in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        (* No scenario at hand: key by the run parameters and the
-           workload list. *)
-        let names =
-          String.concat ","
-            (List.map (fun s -> s.Ptg_workloads.Workload.name) workloads)
-        in
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"instrs\":%d,\"mac\":%d,\"seed\":%Ld,\"warmup\":%d,\"workloads\":[%s]}"
-                instrs config.Ptguard.Config.mac_latency_cycles seed warmup
-                names))
+let run_fig6 ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress ~instrs
+    ~warmup ~seed ~config ~workloads () =
+  let o =
+    run_units ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
+      ~params:
+        [
+          config_param config; ("instrs", string_of_int instrs);
+          ("seed", Int64.to_string seed); ("warmup", string_of_int warmup);
+          ("workloads", names_list workloads);
+        ]
+      fig6_codec
+      (Fig6.plan ~instrs ~warmup ~seed ~config workloads)
   in
-  (* Resume: the deepest stored row prefix whose workloads match ours in
-     order (a stale or colliding checkpoint is skipped). *)
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        stored_counts ~dir ~key
-        |> List.filter (fun n -> n <= total && n > 0)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"fig6" ~key meta;
-                 fig6_rows_of_sections ~what:p sections
-               with
-               | stored_total, rows
-                 when stored_total = total
-                      && List.length rows = n
-                      && List.for_all2
-                           (fun (r : Fig6.row) s ->
-                             r.Fig6.workload = s.Ptg_workloads.Workload.name)
-                           rows
-                           (List.filteri (fun i _ -> i < n) workloads) ->
-                   Some (n, rows)
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let done_rows = ref (match resumed with None -> [] | Some (_, rows) -> rows) in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = List.length !done_rows in
-        let p = path ~dir ~key n in
-        if n > 0 && not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p (fig6_rows_sections ~key ~total !done_rows);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (match resumed with
-  | Some (n, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  while (not !stopped) && List.length !done_rows < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_rows in
-      let step = min batch (total - n) in
-      let specs = List.filteri (fun i _ -> i >= n && i < n + step) workloads in
-      let rows = Fig6.run_rows ?jobs ~instrs ~warmup ~seed ~config specs in
-      done_rows := !done_rows @ rows;
-      if every <> None || List.length !done_rows >= total then checkpoint ();
-      progress ~done_count:(List.length !done_rows) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
-  {
-    g_result = (if completed then Some (Fig6.of_rows !done_rows) else None);
-    g_rows = !done_rows;
-    g_completed = completed;
-    g_resumed_from = Option.map fst resumed;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fig7 point-batch checkpoints                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A fig7 checkpoint carries the shared per-workload baseline runs in
-   every file: they cost as much as one sweep point, are needed by every
-   remaining point, and storing them means a resumed slice never
-   recomputes them. The count is the completed-point prefix; a count of
-   0 (baselines only) is a legal checkpoint. *)
+  { g_result = o.u_result; g_rows = o.u_done; g_completed = o.u_completed;
+    g_resumed_from = o.u_resumed_from }
 
 let put_core_result b (r : Ptg_cpu.Core.result) =
   Codec.put_varint b r.Ptg_cpu.Core.instrs;
@@ -438,78 +517,62 @@ let get_core_result r : Ptg_cpu.Core.result =
   let tlb_miss_rate = Codec.get_float r in
   let guard_mac_computations = Codec.get_varint r in
   let cache_writebacks = Codec.get_varint r in
+  { Ptg_cpu.Core.instrs; cycles; ipc; llc_mpki; dram_reads; pte_dram_reads;
+    walks; tlb_miss_rate; guard_mac_computations; cache_writebacks }
+
+(* The shared baselines are stored by workload name; a stored set only
+   serves a run over the same workloads, in order. *)
+let fig7_codec workloads =
+  let names = List.map (fun s -> s.Ptg_workloads.Workload.name) workloads in
   {
-    Ptg_cpu.Core.instrs;
-    cycles;
-    ipc;
-    llc_mpki;
-    dram_reads;
-    pte_dram_reads;
-    walks;
-    tlb_miss_rate;
-    guard_mac_computations;
-    cache_writebacks;
-  }
-
-let put_design b d = Codec.put_bool b (d = Ptguard.Config.Optimized)
-
-let get_design r =
-  if Codec.get_bool r then Ptguard.Config.Optimized else Ptguard.Config.Baseline
-
-let fig7_sections ~key ~total ~base ~points =
-  let b = Codec.writer () in
-  Codec.put_list b
-    (fun b (spec, r) ->
-      Codec.put_string b spec.Ptg_workloads.Workload.name;
-      put_core_result b r)
-    base;
-  let p = Codec.writer () in
-  Codec.put_varint p total;
-  Codec.put_list p
-    (fun p (pt : Fig7.point) ->
-      put_design p pt.Fig7.design;
-      Codec.put_varint p pt.Fig7.mac_latency;
-      Codec.put_float p pt.Fig7.avg_slowdown_pct;
-      Codec.put_float p pt.Fig7.max_slowdown_pct;
-      Codec.put_string p pt.Fig7.max_workload;
-      Codec.put_float p pt.Fig7.mac_reads_fraction)
-    points;
-  [
-    meta_section { m_kind = "fig7"; m_key = key; m_count = List.length points };
-    Snapshot.section ~name:"fig7.base" (Codec.contents b);
-    Snapshot.section ~name:"fig7.points" (Codec.contents p);
-  ]
-
-let fig7_parts_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "fig7.base" in
-  let base =
-    Codec.get_list r (fun r ->
-        let name = Codec.get_string r in
-        let core = get_core_result r in
-        (name, core))
-  in
-  Codec.expect_end r;
-  let r = Snapshot.reader ~what sections "fig7.points" in
-  let total = Codec.get_varint r in
-  let points =
-    Codec.get_list r (fun r ->
-        let design = get_design r in
-        let mac_latency = Codec.get_varint r in
-        let avg_slowdown_pct = Codec.get_float r in
-        let max_slowdown_pct = Codec.get_float r in
-        let max_workload = Codec.get_string r in
-        let mac_reads_fraction = Codec.get_float r in
+    kind = "fig7";
+    section = "fig7.points";
+    head = no_head;
+    shared =
+      Some
         {
-          Fig7.design;
-          mac_latency;
-          avg_slowdown_pct;
-          max_slowdown_pct;
-          max_workload;
-          mac_reads_fraction;
-        })
-  in
-  Codec.expect_end r;
-  (total, base, points)
+          s_section = "fig7.base";
+          s_put =
+            (fun b base ->
+              Codec.put_list b
+                (fun b (spec, r) ->
+                  Codec.put_string b spec.Ptg_workloads.Workload.name;
+                  put_core_result b r)
+                base);
+          s_get =
+            (fun r ->
+              let base =
+                Codec.get_list r (fun r ->
+                    let name = Codec.get_string r in
+                    let core = get_core_result r in
+                    (name, core))
+              in
+              if List.map fst base = names then
+                Some (List.map2 (fun spec (_, core) -> (spec, core)) workloads base)
+              else None);
+        };
+    put = (fun b (pt : Fig7.point) ->
+      Codec.put_bool b (pt.Fig7.design = Ptguard.Config.Optimized);
+      Codec.put_varint b pt.Fig7.mac_latency;
+      Codec.put_float b pt.Fig7.avg_slowdown_pct;
+      Codec.put_float b pt.Fig7.max_slowdown_pct;
+      Codec.put_string b pt.Fig7.max_workload;
+      Codec.put_float b pt.Fig7.mac_reads_fraction);
+    get = (fun r ->
+      let design =
+        if Codec.get_bool r then Ptguard.Config.Optimized
+        else Ptguard.Config.Baseline
+      in
+      let mac_latency = Codec.get_varint r in
+      let avg_slowdown_pct = Codec.get_float r in
+      let max_slowdown_pct = Codec.get_float r in
+      let max_workload = Codec.get_string r in
+      let mac_reads_fraction = Codec.get_float r in
+      { Fig7.design; mac_latency; avg_slowdown_pct; max_slowdown_pct;
+        max_workload; mac_reads_fraction });
+    belongs =
+      (fun (d, l) (pt : Fig7.point) -> pt.Fig7.design = d && pt.Fig7.mac_latency = l);
+  }
 
 type fig7_outcome = {
   p_result : Fig7.result option; (* None when stopped before the last point *)
@@ -518,129 +581,34 @@ type fig7_outcome = {
   p_resumed_from : int option;
 }
 
-let run_fig7 ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress)
+let run_fig7 ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
     ?(latencies = Fig7.default_latencies)
     ?(workloads = Ptg_workloads.Workload.all) ~instrs ~warmup ~seed () =
-  let cases = Fig7.cases ~latencies () in
-  let total = List.length cases in
-  let names = List.map (fun s -> s.Ptg_workloads.Workload.name) workloads in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"instrs\":%d,\"kind\":\"fig7\",\"latencies\":[%s],\"seed\":%Ld,\"warmup\":%d,\"workloads\":[%s]}"
-                instrs
-                (String.concat "," (List.map string_of_int latencies))
-                seed warmup (String.concat "," names)))
+  let o =
+    run_units ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
+      ~params:
+        [
+          ("instrs", string_of_int instrs); ("latencies", int_list latencies);
+          ("seed", Int64.to_string seed); ("warmup", string_of_int warmup);
+          ("workloads", names_list workloads);
+        ]
+      (fig7_codec workloads)
+      (Fig7.plan ~instrs ~warmup ~seed ~latencies workloads)
   in
-  (* Adopt the deepest stored point prefix whose baselines cover our
-     workload list and whose points match our case list, in order. *)
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        Snapshot.store_counts ~dir ~key
-        |> List.filter (fun n -> n >= 0 && n <= total)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"fig7" ~key meta;
-                 fig7_parts_of_sections ~what:p sections
-               with
-               | stored_total, base, points
-                 when stored_total = total
-                      && List.length points = n
-                      && List.map fst base = names
-                      && List.for_all2
-                           (fun (pt : Fig7.point) (d, l) ->
-                             pt.Fig7.design = d && pt.Fig7.mac_latency = l)
-                           points
-                           (List.filteri (fun i _ -> i < n) cases) ->
-                   Some
-                     ( n,
-                       List.map2
-                         (fun spec (_, core) -> (spec, core))
-                         workloads base,
-                       points )
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let base = ref (Option.map (fun (_, b, _) -> b) resumed) in
-  let done_points =
-    ref (match resumed with None -> [] | Some (_, _, pts) -> pts)
-  in
-  let checkpoint () =
-    match (dir, !base) with
-    | Some dir, Some b ->
-        ensure_dir dir;
-        let n = List.length !done_points in
-        let p = path ~dir ~key n in
-        if not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p
-            (fig7_sections ~key ~total ~base:b ~points:!done_points);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-    | _ -> ()
-  in
-  (match resumed with
-  | Some (n, _, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  (* The shared baselines are the first chunk. *)
-  if !base = None then
-    if should_stop () then stopped := true
-    else begin
-      base := Some (Fig7.base_runs ?jobs ~instrs ~warmup ~seed workloads);
-      if every <> None then checkpoint ();
-      progress ~done_count:0 ~total
-    end;
-  while (not !stopped) && List.length !done_points < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_points in
-      let step = min batch (total - n) in
-      let chunk = List.filteri (fun i _ -> i >= n && i < n + step) cases in
-      let base_results = Option.get !base in
-      let pts =
-        Array.to_list
-          (Ptg_util.Pool.parallel_map ?jobs
-             (fun case -> Fig7.point ~instrs ~warmup ~seed ~base_results case)
-             (Array.of_list chunk))
-      in
-      done_points := !done_points @ pts;
-      if every <> None || List.length !done_points >= total then checkpoint ();
-      progress ~done_count:(List.length !done_points) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
+  { p_result = o.u_result; p_points = o.u_done; p_completed = o.u_completed;
+    p_resumed_from = o.u_resumed_from }
+
+(* Fig. 9 stores its flip probabilities ahead of the campaigns: a prefix
+   only serves a run over the same x-axis. *)
+let fig9_codec p_flips =
   {
-    p_result =
-      (if completed then Some { Fig7.points = !done_points } else None);
-    p_points = !done_points;
-    p_completed = completed;
-    p_resumed_from = Option.map (fun (n, _, _) -> n) resumed;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fig9 workload-batch checkpoints                                     *)
-(* ------------------------------------------------------------------ *)
-
-let fig9_sections ~key ~total ~p_flips parts =
-  let b = Codec.writer () in
-  Codec.put_varint b total;
-  Codec.put_list b (Codec.put_float) p_flips;
-  Codec.put_list b
-    (fun b ((w : Fig9.workload_result), steps) ->
+    kind = "fig9";
+    section = "fig9.parts";
+    head =
+      ( (fun b -> Codec.put_list b Codec.put_float p_flips),
+        fun r -> Codec.get_list r Codec.get_float = p_flips );
+    shared = None;
+    put = (fun b ((w : Fig9.workload_result), steps) ->
       Codec.put_string b w.Fig9.workload;
       Codec.put_list b
         (fun b (c : Fig9.cell) ->
@@ -657,51 +625,33 @@ let fig9_sections ~key ~total ~p_flips parts =
         (fun b (k, v) ->
           Codec.put_string b k;
           Codec.put_varint b v)
-        steps)
-    parts;
-  [
-    meta_section { m_kind = "fig9"; m_key = key; m_count = List.length parts };
-    Snapshot.section ~name:"fig9.parts" (Codec.contents b);
-  ]
-
-let fig9_parts_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "fig9.parts" in
-  let total = Codec.get_varint r in
-  let p_flips = Codec.get_list r Codec.get_float in
-  let parts =
-    Codec.get_list r (fun r ->
-        let workload = Codec.get_string r in
-        let cells =
-          Codec.get_list r (fun r ->
-              let p_flip = Codec.get_float r in
-              let sampled = Codec.get_varint r in
-              let corrected = Codec.get_varint r in
-              let uncorrectable = Codec.get_varint r in
-              let benign = Codec.get_varint r in
-              let miscorrections = Codec.get_varint r in
-              let escapes = Codec.get_varint r in
-              let corrected_pct = Codec.get_float r in
-              {
-                Fig9.p_flip;
-                sampled;
-                corrected;
-                uncorrectable;
-                benign;
-                miscorrections;
-                escapes;
-                corrected_pct;
-              })
-        in
-        let steps =
-          Codec.get_list r (fun r ->
-              let k = Codec.get_string r in
-              let v = Codec.get_varint r in
-              (k, v))
-        in
-        ({ Fig9.workload; cells }, steps))
-  in
-  Codec.expect_end r;
-  (total, p_flips, parts)
+        steps);
+    get = (fun r ->
+      let workload = Codec.get_string r in
+      let cells =
+        Codec.get_list r (fun r ->
+            let p_flip = Codec.get_float r in
+            let sampled = Codec.get_varint r in
+            let corrected = Codec.get_varint r in
+            let uncorrectable = Codec.get_varint r in
+            let benign = Codec.get_varint r in
+            let miscorrections = Codec.get_varint r in
+            let escapes = Codec.get_varint r in
+            let corrected_pct = Codec.get_float r in
+            { Fig9.p_flip; sampled; corrected; uncorrectable; benign;
+              miscorrections; escapes; corrected_pct })
+      in
+      let steps =
+        Codec.get_list r (fun r ->
+            let k = Codec.get_string r in
+            let v = Codec.get_varint r in
+            (k, v))
+      in
+      ({ Fig9.workload; cells }, steps));
+    belongs =
+      (fun (p : Fig9.prepared) ((w : Fig9.workload_result), _) ->
+        w.Fig9.workload = p.Fig9.pr_spec.Ptg_workloads.Workload.name);
+  }
 
 type fig9_outcome = {
   q_result : Fig9.result option; (* None when stopped before the last workload *)
@@ -710,149 +660,50 @@ type fig9_outcome = {
   q_resumed_from : int option;
 }
 
-let run_fig9 ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress)
+let run_fig9 ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
     ?(p_flips = Fig9.default_p_flips) ?(config = Ptguard.Config.optimized)
     ?(workloads = Ptg_workloads.Workload.fig9_subset) ~lines_per_point ~seed ()
     =
-  let total = List.length workloads in
-  let names = List.map (fun s -> s.Ptg_workloads.Workload.name) workloads in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"kind\":\"fig9\",\"lines\":%d,\"mac\":%d,\"p_flips\":[%s],\"seed\":%Ld,\"workloads\":[%s]}"
-                lines_per_point config.Ptguard.Config.mac_latency_cycles
-                (String.concat ","
-                   (List.map (Printf.sprintf "%.17g") p_flips))
-                seed (String.concat "," names)))
+  let o =
+    run_units ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
+      ~params:
+        [
+          config_param config; ("lines", string_of_int lines_per_point);
+          ( "p_flips",
+            "[" ^ String.concat "," (List.map (Printf.sprintf "%.17g") p_flips)
+            ^ "]" );
+          ("seed", Int64.to_string seed); ("workloads", names_list workloads);
+        ]
+      (fig9_codec p_flips)
+      (Fig9.plan ~lines_per_point ~seed ~p_flips ~config workloads)
   in
-  (* Generator states are re-derived every slice (cheap); only the
-     campaign results are stored. *)
-  let prepared = Fig9.prepare ~seed workloads in
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        Snapshot.store_counts ~dir ~key
-        |> List.filter (fun n -> n <= total && n > 0)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"fig9" ~key meta;
-                 fig9_parts_of_sections ~what:p sections
-               with
-               | stored_total, stored_p_flips, parts
-                 when stored_total = total
-                      && stored_p_flips = p_flips
-                      && List.length parts = n
-                      && List.for_all2
-                           (fun ((w : Fig9.workload_result), _) name ->
-                             w.Fig9.workload = name)
-                           parts
-                           (List.filteri (fun i _ -> i < n) names) ->
-                   Some (n, parts)
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let done_parts =
-    ref (match resumed with None -> [] | Some (_, parts) -> parts)
-  in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = List.length !done_parts in
-        let p = path ~dir ~key n in
-        if n > 0 && not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p (fig9_sections ~key ~total ~p_flips !done_parts);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (match resumed with
-  | Some (n, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  while (not !stopped) && List.length !done_parts < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_parts in
-      let step = min batch (total - n) in
-      let chunk = List.filteri (fun i _ -> i >= n && i < n + step) prepared in
-      let parts =
-        Array.to_list
-          (Ptg_util.Pool.parallel_map ?jobs
-             (fun p -> Fig9.run_workload ~lines_per_point ~p_flips ~config p)
-             (Array.of_list chunk))
-      in
-      done_parts := !done_parts @ parts;
-      if every <> None || List.length !done_parts >= total then checkpoint ();
-      progress ~done_count:(List.length !done_parts) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
+  { q_result = o.u_result; q_parts = o.u_done; q_completed = o.u_completed;
+    q_resumed_from = o.u_resumed_from }
+
+let multicore_codec =
   {
-    q_result =
-      (if completed then Some (Fig9.assemble ~p_flips !done_parts) else None);
-    q_parts = !done_parts;
-    q_completed = completed;
-    q_resumed_from = Option.map fst resumed;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Multicore row-batch checkpoints                                     *)
-(* ------------------------------------------------------------------ *)
-
-let multicore_sections ~key ~total rows =
-  let b = Codec.writer () in
-  Codec.put_varint b total;
-  Codec.put_list b
-    (fun b (r : Multicore_exp.row) ->
+    kind = "multicore";
+    section = "multicore.rows";
+    head = no_head;
+    shared = None;
+    put = (fun b (r : Multicore_exp.row) ->
       Codec.put_string b r.Multicore_exp.label;
       Codec.put_list b Codec.put_string r.Multicore_exp.workloads;
       Codec.put_float b r.Multicore_exp.base_ipc;
       Codec.put_float b r.Multicore_exp.norm_ipc;
       Codec.put_float b r.Multicore_exp.slowdown_pct;
-      Codec.put_float b r.Multicore_exp.avg_queue_delay)
-    rows;
-  [
-    meta_section
-      { m_kind = "multicore"; m_key = key; m_count = List.length rows };
-    Snapshot.section ~name:"multicore.rows" (Codec.contents b);
-  ]
-
-let multicore_rows_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "multicore.rows" in
-  let total = Codec.get_varint r in
-  let rows =
-    Codec.get_list r (fun r ->
-        let label = Codec.get_string r in
-        let workloads = Codec.get_list r Codec.get_string in
-        let base_ipc = Codec.get_float r in
-        let norm_ipc = Codec.get_float r in
-        let slowdown_pct = Codec.get_float r in
-        let avg_queue_delay = Codec.get_float r in
-        {
-          Multicore_exp.label;
-          workloads;
-          base_ipc;
-          norm_ipc;
-          slowdown_pct;
-          avg_queue_delay;
-        })
-  in
-  Codec.expect_end r;
-  (total, rows)
+      Codec.put_float b r.Multicore_exp.avg_queue_delay);
+    get = (fun r ->
+      let label = Codec.get_string r in
+      let workloads = Codec.get_list r Codec.get_string in
+      let base_ipc = Codec.get_float r in
+      let norm_ipc = Codec.get_float r in
+      let slowdown_pct = Codec.get_float r in
+      let avg_queue_delay = Codec.get_float r in
+      { Multicore_exp.label; workloads; base_ipc; norm_ipc; slowdown_pct;
+        avg_queue_delay });
+    belongs = (fun (label, _) (r : Multicore_exp.row) -> r.Multicore_exp.label = label);
+  }
 
 type multicore_outcome = {
   r_result : Multicore_exp.result option; (* None when stopped early *)
@@ -861,103 +712,22 @@ type multicore_outcome = {
   r_resumed_from : int option;
 }
 
-let run_multicore ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress)
+let run_multicore ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
     ?(same = Ptg_workloads.Workload.all) ?(config = Ptguard.Config.baseline)
     ~instrs_per_core ~mixes ~seed () =
-  let cases = Multicore_exp.cases ~same ~seed ~mixes () in
-  let total = List.length cases in
-  let labels = List.map fst cases in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"instrs\":%d,\"kind\":\"multicore\",\"mac\":%d,\"mixes\":%d,\"same\":[%s],\"seed\":%Ld}"
-                instrs_per_core config.Ptguard.Config.mac_latency_cycles mixes
-                (String.concat ","
-                   (List.map
-                      (fun s -> s.Ptg_workloads.Workload.name)
-                      same))
-                seed))
+  let o =
+    run_units ?jobs ?key ?keep ?every ?dir ?adopt ?should_stop ?progress
+      ~params:
+        [
+          config_param config; ("instrs", string_of_int instrs_per_core);
+          ("mixes", string_of_int mixes); ("same", names_list same);
+          ("seed", Int64.to_string seed);
+        ]
+      multicore_codec
+      (Multicore_exp.plan ~instrs_per_core ~seed ~same ~mixes ~config)
   in
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        Snapshot.store_counts ~dir ~key
-        |> List.filter (fun n -> n <= total && n > 0)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"multicore" ~key meta;
-                 multicore_rows_of_sections ~what:p sections
-               with
-               | stored_total, rows
-                 when stored_total = total
-                      && List.length rows = n
-                      && List.for_all2
-                           (fun (r : Multicore_exp.row) label ->
-                             r.Multicore_exp.label = label)
-                           rows
-                           (List.filteri (fun i _ -> i < n) labels) ->
-                   Some (n, rows)
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let done_rows =
-    ref (match resumed with None -> [] | Some (_, rows) -> rows)
-  in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = List.length !done_rows in
-        let p = path ~dir ~key n in
-        if n > 0 && not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p (multicore_sections ~key ~total !done_rows);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (match resumed with
-  | Some (n, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  while (not !stopped) && List.length !done_rows < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_rows in
-      let step = min batch (total - n) in
-      let chunk = List.filteri (fun i _ -> i >= n && i < n + step) cases in
-      let rows =
-        Array.to_list
-          (Ptg_util.Pool.parallel_map ?jobs
-             (fun case ->
-               Multicore_exp.case_row ~instrs_per_core ~seed ~config case)
-             (Array.of_list chunk))
-      in
-      done_rows := !done_rows @ rows;
-      if every <> None || List.length !done_rows >= total then checkpoint ();
-      progress ~done_count:(List.length !done_rows) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
-  {
-    r_result =
-      (if completed then Some (Multicore_exp.of_rows !done_rows) else None);
-    r_rows = !done_rows;
-    r_completed = completed;
-    r_resumed_from = Option.map fst resumed;
-  }
+  { r_result = o.u_result; r_rows = o.u_done; r_completed = o.u_completed;
+    r_resumed_from = o.u_resumed_from }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario entry point (server warm-start path)                       *)
@@ -992,7 +762,8 @@ let default_every (t : Scenario.t) =
    experiments by unit prefix (keyed by the full [Scenario.hash] — units
    are only reusable for identical sizing). Even without [dir] the
    sliceable kinds run chunked, so [should_stop]/[progress] stay live;
-   everything else runs in one piece. *)
+   everything else runs in one piece. Inputs resolve through the same
+   [Scenario.resolve_*] calls as [Scenario.run]. *)
 let run_scenario ?dir ?every ?should_stop ?progress (t : Scenario.t) =
   Scenario.check t;
   let every =
@@ -1000,81 +771,59 @@ let run_scenario ?dir ?every ?should_stop ?progress (t : Scenario.t) =
     | Some _ -> every
     | None -> if sliceable t then Some (default_every t) else None
   in
+  let served out result completed resumed_from =
+    {
+      text = Option.map (fun r -> Scenario.render (out r)) result;
+      completed;
+      resumed_from;
+    }
+  in
+  let jobs = t.Scenario.jobs and seed = t.Scenario.seed and key = Scenario.hash t in
   match t.Scenario.kind with
   | Scenario.Fullsys ->
       let o =
         run_fullsys ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.prefix_hash t) ~seed:t.Scenario.seed
-          ~instrs:(Scenario.resolve_instrs t) ()
+          ~key:(Scenario.prefix_hash t) ~seed ~instrs:(Scenario.resolve_instrs t)
+          ()
       in
-      {
-        text =
-          (if o.f_completed then
-             Some (Scenario.render (Scenario.Fullsys_out o.f_result))
-           else None);
-        completed = o.f_completed;
-        resumed_from = o.f_resumed_from;
-      }
+      served
+        (fun r -> Scenario.Fullsys_out r)
+        (if o.f_completed then Some o.f_result else None)
+        o.f_completed o.f_resumed_from
   | Scenario.Fig6 when t.Scenario.seeds = 1 ->
-      let config =
-        Ptguard.Config.with_mac_latency
-          (Scenario.config_of_design t.Scenario.design)
-          (Scenario.resolve_mac_latency t)
-      in
-      let workloads =
-        List.map
-          (fun name -> Option.get (Ptg_workloads.Workload.by_name name))
-          (Scenario.resolve_workload_names t)
-      in
       let o =
-        run_fig6 ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t) ~instrs:(Scenario.resolve_instrs t)
-          ~warmup:(Scenario.resolve_warmup t) ~seed:t.Scenario.seed ~config
-          ~workloads ()
+        run_fig6 ~jobs ?every ?dir ?should_stop ?progress ~key
+          ~instrs:(Scenario.resolve_instrs t) ~warmup:(Scenario.resolve_warmup t)
+          ~seed ~config:(Scenario.resolve_config t)
+          ~workloads:(Scenario.resolve_workloads t) ()
       in
-      {
-        text = Option.map (fun r -> Scenario.render (Scenario.Fig6_out r)) o.g_result;
-        completed = o.g_completed;
-        resumed_from = o.g_resumed_from;
-      }
+      served (fun r -> Scenario.Fig6_out r) o.g_result o.g_completed o.g_resumed_from
   | Scenario.Fig7 ->
       let o =
-        run_fig7 ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t) ~instrs:(Scenario.resolve_instrs t)
-          ~warmup:(Scenario.resolve_warmup t) ~seed:t.Scenario.seed ()
+        run_fig7 ~jobs ?every ?dir ?should_stop ?progress ~key
+          ~instrs:(Scenario.resolve_instrs t) ~warmup:(Scenario.resolve_warmup t)
+          ~seed ()
       in
-      {
-        text = Option.map (fun r -> Scenario.render (Scenario.Fig7_out r)) o.p_result;
-        completed = o.p_completed;
-        resumed_from = o.p_resumed_from;
-      }
+      served (fun r -> Scenario.Fig7_out r) o.p_result o.p_completed o.p_resumed_from
   | Scenario.Fig9 when t.Scenario.seeds = 1 ->
       let o =
-        run_fig9 ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t) ~lines_per_point:(Scenario.resolve_lines t)
-          ~seed:t.Scenario.seed ()
+        run_fig9 ~jobs ?every ?dir ?should_stop ?progress ~key
+          ~lines_per_point:(Scenario.resolve_lines t) ~seed ()
       in
-      {
-        text = Option.map (fun r -> Scenario.render (Scenario.Fig9_out r)) o.q_result;
-        completed = o.q_completed;
-        resumed_from = o.q_resumed_from;
-      }
+      served (fun r -> Scenario.Fig9_out r) o.q_result o.q_completed o.q_resumed_from
   | Scenario.Multicore ->
       let o =
-        run_multicore ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t)
+        run_multicore ~jobs ?every ?dir ?should_stop ?progress ~key
           ~instrs_per_core:(Scenario.resolve_instrs t)
-          ~mixes:(Scenario.resolve_mixes t) ~seed:t.Scenario.seed ()
+          ~mixes:(Scenario.resolve_mixes t) ~seed ()
       in
-      {
-        text =
-          Option.map (fun r -> Scenario.render (Scenario.Multicore_out r)) o.r_result;
-        completed = o.r_completed;
-        resumed_from = o.r_resumed_from;
-      }
-  | _ ->
-      (match should_stop with
-      | Some stop when stop () -> { text = None; completed = false; resumed_from = None }
+      served
+        (fun r -> Scenario.Multicore_out r)
+        o.r_result o.r_completed o.r_resumed_from
+  | _ -> (
+      match should_stop with
+      | Some stop when stop () ->
+          { text = None; completed = false; resumed_from = None }
       | _ ->
           {
             text = Some (Scenario.run_to_string t);

@@ -1,47 +1,51 @@
 (** Checkpoint/restore drivers over {!Ptg_snapshot}.
 
-    Every sliceable experiment family has a chunked driver:
+    Every sliceable experiment runs through one chunk loop that polls a
+    stop request before each chunk and checkpoints the prefix it has
+    completed. Two kinds of prefix exist:
 
-    - {b fullsys} — the machine's complete mutable state
-      ({!Fullsys.state}) every [every] instructions. Because the hammer
-      schedule, RNG streams and all counters are absolute, a run
-      resumed from any checkpoint is byte-identical to one that never
-      stopped.
-    - {b fig6} — completed per-workload rows in batches of [every].
-      Rows are independent and job-count invariant, so a resumed run
-      recomputes only the missing suffix and aggregates identically.
-    - {b fig7} — completed sweep points, with the shared unprotected
-      baselines stored in every checkpoint so resumes never recompute
-      them.
-    - {b fig9} — completed per-workload injection campaigns; generator
-      states are re-derived from the seed each slice.
-    - {b multicore} — completed SAME/MIX rows; the case list is
-      re-derived from the seed each slice.
+    - {b Unit prefix} — the batched experiments (Fig. 6 rows, Fig. 7
+      (design, MAC latency) points, Fig. 9 per-workload campaigns, the
+      Section VII-C SAME/MIX rows). Each is a {!Sweep.t}: ordered,
+      independent units, a codec per unit, an optional shared value
+      stored with every checkpoint (Fig. 7's unprotected baselines, so a
+      resumed slice never recomputes them; a baselines-only count-0
+      checkpoint is legal) and a deterministic merge. One driver adopts
+      the deepest intact stored prefix whose units match this run's,
+      computes the missing units in ordered batches of [every] through
+      the same fan-out as {!Sweep.run}, and saves each new prefix.
+      Without a store or a stop it is exactly {!Sweep.run}, which is
+      each figure's [run].
+    - {b Instruction prefix} — {b fullsys}: the machine's complete
+      mutable state ({!Fullsys.state}) every [every] instructions.
+      Because the hammer schedule, RNG streams and all counters are
+      absolute, a run resumed from any checkpoint is byte-identical to
+      one that never stopped.
 
     Checkpoints live in a {e warm-start store}: a directory of
     [<key>.<count>.ptgs] snapshot files, where [key] hashes everything
     the run depends on {e except} how far it goes
-    ({!Scenario.prefix_hash} for fullsys scenarios) and [count] is the
-    instruction (or unit) prefix covered. A longer run warm-starts from
-    the deepest stored prefix at or below its budget; damaged or
-    mismatched files are skipped, never fatal — explicit restores
-    ({!fullsys_restore}) raise instead. After each successful save the
-    drivers prune the store to the deepest [keep] files per key
+    ({!Scenario.prefix_hash} for fullsys scenarios, {!Scenario.hash} for
+    the batched ones; without [~key], every run parameter including each
+    field of the PT-Guard configuration) and [count] is the instruction
+    (or unit) prefix covered. A longer run warm-starts from the deepest
+    stored prefix at or below its budget; damaged or mismatched files
+    are skipped, never fatal — explicit restores ({!fullsys_restore})
+    raise instead. After each successful save the drivers prune the
+    store to the deepest [keep] files per key
     ({!Ptg_snapshot.Snapshot.prune}), so a long multi-chunk run leaves a
-    bounded number of files behind.
+    bounded number of files behind. The store directory, and any missing
+    parent, is created on the first save.
 
     Checkpointing excludes observability: drivers never pass [obs]. *)
 
 (** {1 Warm-start store} *)
 
-val file_name : key:string -> int -> string
 val path : dir:string -> key:string -> int -> string
 
 val stored_counts : dir:string -> key:string -> int list
 (** Prefix depths present for [key], deepest first; [] when [dir] is
     missing. *)
-
-val find_latest : dir:string -> key:string -> upto:int -> int option
 
 val default_keep : int
 (** Files retained per key by the drivers' post-save prune (2: the
@@ -108,15 +112,6 @@ val run_fullsys :
 
 (** {1 Fig6} *)
 
-val fig6_rows_sections :
-  key:string -> total:int -> Fig6.row list -> Ptg_snapshot.Snapshot.section list
-
-val fig6_rows_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * Fig6.row list
-(** [(total, completed-prefix)]. *)
-
 type fig6_outcome = {
   g_result : Fig6.result option;  (** [None] when stopped early *)
   g_rows : Fig6.row list;
@@ -140,31 +135,12 @@ val run_fig6 :
   workloads:Ptg_workloads.Workload.spec list ->
   unit ->
   fig6_outcome
-(** Row-batch analogue of {!run_fullsys}: compute missing rows in
-    ordered batches of [every] (all at once when absent) through
-    {!Fig6.run_rows}, checkpointing the completed prefix. A stored
-    prefix is only adopted when its workload names match this run's
-    list in order. *)
+(** The unit-prefix driver over {!Fig6.plan}: missing rows run in
+    ordered batches of [every] (all at once when absent), checkpointing
+    the completed prefix. A stored prefix is only adopted when its
+    workload names match this run's list in order. *)
 
 (** {1 Fig7} *)
-
-val fig7_sections :
-  key:string ->
-  total:int ->
-  base:(Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list ->
-  points:Fig7.point list ->
-  Ptg_snapshot.Snapshot.section list
-(** Every fig7 checkpoint carries the shared unprotected baselines
-    alongside the completed point prefix: they cost about one sweep
-    point and every remaining point needs them, so a resumed slice
-    never recomputes them. A points-empty (baselines-only) file is a
-    legal count-0 checkpoint. *)
-
-val fig7_parts_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * (string * Ptg_cpu.Core.result) list * Fig7.point list
-(** [(total, named baselines, completed-prefix)]. *)
 
 type fig7_outcome = {
   p_result : Fig7.result option;  (** [None] when stopped early *)
@@ -189,26 +165,13 @@ val run_fig7 :
   seed:int64 ->
   unit ->
   fig7_outcome
-(** Point-batch analogue of {!run_fig6}: compute the shared baselines
-    as the first chunk, then the missing sweep points in ordered
-    batches of [every] through {!Fig7.point}. A stored prefix is only
-    adopted when its baseline workload names and its (design, latency)
-    points match this run's case list in order. *)
+(** The unit-prefix driver over {!Fig7.plan}: the shared baselines are
+    the first chunk, then the missing sweep points run in ordered
+    batches of [every]. A stored prefix is only adopted when its
+    baseline workload names and its (design, latency) points match this
+    run's in order. *)
 
 (** {1 Fig9} *)
-
-val fig9_sections :
-  key:string ->
-  total:int ->
-  p_flips:float list ->
-  (Fig9.workload_result * (string * int) list) list ->
-  Ptg_snapshot.Snapshot.section list
-
-val fig9_parts_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * float list * (Fig9.workload_result * (string * int) list) list
-(** [(total, p_flips, completed per-workload parts)]. *)
 
 type fig9_outcome = {
   q_result : Fig9.result option;  (** [None] when stopped early *)
@@ -233,25 +196,12 @@ val run_fig9 :
   seed:int64 ->
   unit ->
   fig9_outcome
-(** Workload-batch driver: {!Fig9.prepare} re-derives every generator
-    state from [seed] each slice (cheap), missing campaigns run in
-    ordered batches of [every] through {!Fig9.run_workload}, and
-    completion assembles through {!Fig9.assemble}. A stored prefix is
-    only adopted when its [p_flips] and workload-name prefix match. *)
+(** The unit-prefix driver over {!Fig9.plan}, which re-derives every
+    generator state from [seed] each slice (cheap); missing campaigns
+    run in ordered batches of [every]. A stored prefix is only adopted
+    when its [p_flips] and workload-name prefix match. *)
 
 (** {1 Multicore} *)
-
-val multicore_sections :
-  key:string ->
-  total:int ->
-  Multicore_exp.row list ->
-  Ptg_snapshot.Snapshot.section list
-
-val multicore_rows_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * Multicore_exp.row list
-(** [(total, completed-prefix)]. *)
 
 type multicore_outcome = {
   r_result : Multicore_exp.result option;  (** [None] when stopped early *)
@@ -276,10 +226,9 @@ val run_multicore :
   seed:int64 ->
   unit ->
   multicore_outcome
-(** Row-batch driver over {!Multicore_exp.cases} (re-derived from
-    [seed] each slice) and {!Multicore_exp.case_row}. A stored prefix
-    is only adopted when its labels match this run's case labels in
-    order. *)
+(** The unit-prefix driver over {!Multicore_exp.plan}, whose case list
+    is re-derived from [seed] each slice. A stored prefix is only
+    adopted when its labels match this run's case labels in order. *)
 
 (** {1 Scenario entry point} *)
 

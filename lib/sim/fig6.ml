@@ -61,36 +61,21 @@ let of_rows rows =
     max_slowdown_pct = Array.fold_left Float.max 0.0 slowdowns;
   }
 
+let plan ~instrs ~warmup ~seed ~config workloads =
+  {
+    Sweep.shared = Sweep.no_shared;
+    units = workloads;
+    run_unit = (fun () -> row_of_spec ~instrs ~warmup ~seed ~config);
+    merge = of_rows;
+  }
+
 let run_rows ?jobs ~instrs ~warmup ~seed ~config workloads =
-  Array.to_list
-    (Pool.parallel_map ?jobs
-       (row_of_spec ~instrs ~warmup ~seed ~config)
-       (Array.of_list workloads))
+  Sweep.map ?jobs (row_of_spec ~instrs ~warmup ~seed ~config) workloads
 
 let run ?jobs ?(instrs = 2_000_000) ?(warmup = 500_000) ?(seed = 42L)
     ?(config = Ptguard.Config.baseline) ?(workloads = Ptg_workloads.Workload.all)
     ?obs () =
-  (* Each task writes into its own child sink; the children are merged
-     into [obs] in task order after the join, so metrics and traces are
-     identical for any job count. *)
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink ->
-        Array.init (List.length workloads) (fun _ -> Ptg_obs.Sink.child sink)
-  in
-  let rows_arr =
-    Pool.parallel_map ?jobs
-      (fun (i, spec) ->
-        let obs = if Array.length children = 0 then None else Some children.(i) in
-        row_of_spec ?obs ~instrs ~warmup ~seed ~config spec)
-      (Array.of_list (List.mapi (fun i spec -> (i, spec)) workloads))
-  in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  of_rows (Array.to_list rows_arr)
+  Sweep.run ?jobs ?obs (plan ~instrs ~warmup ~seed ~config workloads)
 
 let to_rows result =
   List.map

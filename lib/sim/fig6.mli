@@ -22,6 +22,18 @@ type result = {
   max_slowdown_pct : float;
 }
 
+val run_workload :
+  ?obs:Ptg_obs.Sink.t ->
+  instrs:int ->
+  warmup:int ->
+  seed:int64 ->
+  guard:Ptg_cpu.Guard_timing.t ->
+  Ptg_workloads.Workload.spec ->
+  Ptg_cpu.Core.result
+(** One single-core run of a workload under [guard]: [warmup]
+    instructions, then [instrs] timed ones, on a stream seeded by [seed].
+    Every slowdown in Figures 6 and 7 is a ratio of two such runs. *)
+
 val run :
   ?jobs:int ->
   ?instrs:int ->
@@ -35,13 +47,23 @@ val run :
 (** Defaults: 2M timed instructions after 500K warmup per workload, the
     Baseline PT-Guard design at 10-cycle MAC latency, all 25 workloads.
     Identical streams (same seed) drive the unprotected and protected
-    runs, so the IPC ratio isolates the MAC delay exactly. [jobs] fans
-    the per-workload runs across domains via {!Ptg_util.Pool} (default
-    {!Ptg_util.Pool.default_jobs}); the result is bit-identical for any
-    job count. With [obs], the {e guarded} run of each workload reports
-    into a per-task child sink; children merge into [obs] in workload
-    order after the join, so metrics/trace exports are also byte-identical
-    for any job count. *)
+    runs, so the IPC ratio isolates the MAC delay exactly. This is
+    {!Sweep.run} over {!plan}: [jobs] fans the per-workload runs across
+    domains (default {!Ptg_util.Pool.default_jobs}) and, with [obs], the
+    {e guarded} run of each workload reports into a child sink merged in
+    workload order, so the result and the metrics/trace exports are
+    byte-identical for any job count. *)
+
+val plan :
+  instrs:int ->
+  warmup:int ->
+  seed:int64 ->
+  config:Ptguard.Config.t ->
+  Ptg_workloads.Workload.spec list ->
+  (unit, Ptg_workloads.Workload.spec, row, result) Sweep.t
+(** The sweep {!run} computes: one unit per workload, merged by
+    {!of_rows}. Each row builds its own RNG and guard from [seed] alone,
+    so the checkpoint driver's row batches yield exactly {!run}'s rows. *)
 
 val run_rows :
   ?jobs:int ->
@@ -52,10 +74,7 @@ val run_rows :
   Ptg_workloads.Workload.spec list ->
   row list
 (** The per-workload rows of {!run} for an arbitrary subset of
-    workloads, in order. Rows are independent — each builds its own RNG
-    and guard from [seed] alone — so computing them in separate calls
-    (the checkpoint driver's row batches) yields exactly the rows a
-    single {!run} over the full list produces. No observability. *)
+    workloads, in order, without observability. *)
 
 val of_rows : row list -> result
 (** Aggregate rows (gmean/amean/max) exactly as {!run} does. *)

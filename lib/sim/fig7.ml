@@ -19,18 +19,15 @@ let cases ?(latencies = default_latencies) () =
     [ Ptguard.Config.Baseline; Ptguard.Config.Optimized ]
 
 (* Baseline (unprotected) runs are shared across the sweep; each one
-   seeds its own Rng, so both this fan-out and the per-point fan-out in
-   [run] are bit-identical to serial execution. *)
+   seeds its own Rng, so both this fan-out and the per-point fan-out are
+   bit-identical to serial execution. *)
 let base_runs ?jobs ~instrs ~warmup ~seed workloads =
-  Array.to_list
-    (Pool.parallel_map ?jobs
-       (fun spec ->
-         let rng = Rng.create seed in
-         let stream = Ptg_workloads.Workload.stream rng spec in
-         let core = Ptg_cpu.Core.create ~guard:Ptg_cpu.Guard_timing.unprotected () in
-         ignore (Ptg_cpu.Core.run core ~instrs:warmup ~stream);
-         (spec, Ptg_cpu.Core.run core ~instrs ~stream))
-       (Array.of_list workloads))
+  Sweep.map ?jobs
+    (fun ?obs:_ spec ->
+      ( spec,
+        Fig6.run_workload ~instrs ~warmup ~seed
+          ~guard:Ptg_cpu.Guard_timing.unprotected spec ))
+    workloads
 
 let point ?obs ~instrs ~warmup ~seed ~base_results (design, mac_latency) =
   let cfg =
@@ -47,11 +44,7 @@ let point ?obs ~instrs ~warmup ~seed ~base_results (design, mac_latency) =
           Ptg_cpu.Guard_timing.of_config cfg ?obs
             ~rng:(Rng.create (Int64.add seed 1L))
         in
-        let rng = Rng.create seed in
-        let stream = Ptg_workloads.Workload.stream rng spec in
-        let core = Ptg_cpu.Core.create ~guard () in
-        ignore (Ptg_cpu.Core.run core ~instrs:warmup ~stream);
-        let r = Ptg_cpu.Core.run core ~instrs ~stream in
+        let r = Fig6.run_workload ~instrs ~warmup ~seed ~guard spec in
         let slow =
           100.0 *. (1.0 -. (r.Ptg_cpu.Core.ipc /. base.Ptg_cpu.Core.ipc))
         in
@@ -79,31 +72,21 @@ let point ?obs ~instrs ~warmup ~seed ~base_results (design, mac_latency) =
     mac_reads_fraction = Stats.mean (Array.of_list mac_fracs);
   }
 
+(* One unit per (design, latency) point, all normalized against the
+   shared baselines; a point is independent of every other point, so any
+   batching (the checkpoint driver's slices included) is bit-identical. *)
+let plan ~instrs ~warmup ~seed ~latencies workloads =
+  {
+    Sweep.shared = (fun ?jobs () -> base_runs ?jobs ~instrs ~warmup ~seed workloads);
+    units = cases ~latencies ();
+    run_unit = (fun base_results -> point ~instrs ~warmup ~seed ~base_results);
+    merge = (fun points -> { points });
+  }
+
 let run ?jobs ?(instrs = 1_000_000) ?(warmup = 300_000) ?(seed = 42L)
     ?(latencies = default_latencies) ?(workloads = Ptg_workloads.Workload.all)
     ?obs () =
-  let base_results = base_runs ?jobs ~instrs ~warmup ~seed workloads in
-  let cases = Array.of_list (cases ~latencies ()) in
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink -> Array.init (Array.length cases) (fun _ -> Ptg_obs.Sink.child sink)
-  in
-  let points =
-    Array.to_list
-      (Pool.parallel_map ?jobs
-         (fun (case_idx, case) ->
-           let obs =
-             if Array.length children = 0 then None else Some children.(case_idx)
-           in
-           point ?obs ~instrs ~warmup ~seed ~base_results case)
-         (Array.mapi (fun i case -> (i, case)) cases))
-  in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  { points }
+  Sweep.run ?jobs ?obs (plan ~instrs ~warmup ~seed ~latencies workloads)
 
 let header =
   [ "design"; "MAC latency"; "avg slowdown"; "worst slowdown"; "worst workload"; "MAC-read frac" ]

@@ -21,33 +21,22 @@ type result = { points : point list }
 val default_latencies : int list
 (** [[5; 10; 15; 20]], the paper's sweep. *)
 
-val cases : ?latencies:int list -> unit -> (Ptguard.Config.design * int) list
-(** The sweep's (design, MAC latency) points in presentation order:
-    Baseline across [latencies], then Optimized. *)
-
-val base_runs :
-  ?jobs:int ->
+val plan :
   instrs:int ->
   warmup:int ->
   seed:int64 ->
+  latencies:int list ->
   Ptg_workloads.Workload.spec list ->
-  (Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list
-(** The unprotected per-workload runs every sweep point is normalized
-    against. Deterministic for any [jobs]; each workload seeds its own
-    generator from [seed]. *)
-
-val point :
-  ?obs:Ptg_obs.Sink.t ->
-  instrs:int ->
-  warmup:int ->
-  seed:int64 ->
-  base_results:(Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list ->
-  Ptguard.Config.design * int ->
-  point
-(** One sweep point from shared baselines: guarded runs over every
-    workload in [base_results], averaged and worst-cased. Independent of
-    every other point, so points can be computed in any batching (the
-    checkpoint driver's slicing contract). *)
+  ( (Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list,
+    Ptguard.Config.design * int,
+    point,
+    result )
+  Sweep.t
+(** The sweep {!run} computes. The shared value is the unprotected
+    per-workload baselines every point is normalized against; the units
+    are the (design, MAC latency) points in presentation order (Baseline
+    across [latencies], then Optimized), each a guarded run over every
+    workload, averaged and worst-cased. *)
 
 val run :
   ?jobs:int ->
@@ -60,10 +49,10 @@ val run :
   unit ->
   result
 (** Defaults: latencies [5; 10; 15; 20], both designs, all workloads.
-    [jobs] fans the shared baseline runs and the (design, latency) sweep
-    points across domains; results are independent of the job count.
-    With [obs], each sweep case's guard reports into a child sink merged
-    back in case order (deterministic for any job count). *)
+    {!Sweep.run} over {!plan}: [jobs] fans the shared baseline runs and
+    the sweep points across domains; results are independent of the job
+    count. With [obs], each point's guard reports into a child sink
+    merged back in point order (deterministic for any job count). *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout. *)

@@ -207,30 +207,18 @@ let assemble ~p_flips parts =
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) steps []);
   }
 
+let plan ~lines_per_point ~seed ~p_flips ~config workloads =
+  {
+    Sweep.shared = Sweep.no_shared;
+    units = prepare ~seed workloads;
+    run_unit = (fun () -> run_workload ~lines_per_point ~p_flips ~config);
+    merge = assemble ~p_flips;
+  }
+
 let run ?jobs ?(lines_per_point = 300) ?(seed = 9L) ?(p_flips = default_p_flips)
     ?(config = Ptguard.Config.optimized)
     ?(workloads = Ptg_workloads.Workload.fig9_subset) ?obs () =
-  let prepared = Array.of_list (prepare ~seed workloads) in
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink ->
-        Array.init (Array.length prepared) (fun _ -> Ptg_obs.Sink.child sink)
-  in
-  let parts =
-    Pool.parallel_map ?jobs
-      (fun (i, p) ->
-        let obs =
-          if Array.length children = 0 then None else Some children.(i)
-        in
-        run_workload ?obs ~lines_per_point ~p_flips ~config p)
-      (Array.mapi (fun i p -> (i, p)) prepared)
-  in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  assemble ~p_flips (Array.to_list parts)
+  Sweep.run ?jobs ?obs (plan ~lines_per_point ~seed ~p_flips ~config workloads)
 
 let pp_p p =
   if p > 0.0 && Float.is_integer (1.0 /. p) then

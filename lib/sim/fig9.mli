@@ -43,27 +43,20 @@ type prepared = {
 (** One workload's generator state, split serially off the master seed
     stream in workload order. *)
 
-val prepare : seed:int64 -> Ptg_workloads.Workload.spec list -> prepared list
-(** Derive every workload's generator state from [seed]. Cheap relative
-    to a campaign — a checkpoint-resumed slice re-prepares all workloads
-    and runs only the missing ones, bit-identically. *)
-
-val run_workload :
-  ?obs:Ptg_obs.Sink.t ->
+val plan :
   lines_per_point:int ->
+  seed:int64 ->
   p_flips:float list ->
   config:Ptguard.Config.t ->
-  prepared ->
-  workload_result * (string * int) list
-(** One workload's injection campaign; the snd is its correction-step
-    histogram as a key-sorted assoc list (serializable, mergeable). *)
-
-val assemble :
-  p_flips:float list ->
-  (workload_result * (string * int) list) list ->
-  result
-(** Merge per-workload parts (in workload order) into the figure:
-    byte-identical however the parts were batched. *)
+  Ptg_workloads.Workload.spec list ->
+  (unit, prepared, workload_result * (string * int) list, result) Sweep.t
+(** The sweep {!run} computes. Units are the workloads' generator states,
+    re-derived from [seed] (cheap relative to a campaign, so a
+    checkpoint-resumed slice re-prepares every workload and runs only the
+    missing ones, bit-identically). A unit's output is its campaign plus
+    its correction-step histogram as a key-sorted assoc list; the merge
+    sums histograms and pools the per-[p_flip] average, byte-identically
+    however the units were batched. *)
 
 val run :
   ?jobs:int ->
@@ -76,11 +69,12 @@ val run :
   unit ->
   result
 (** Defaults: 300 faulty lines per (workload, p_flip) point, the Optimized
-    design, the Figure 9 workload subset. [jobs] fans the per-workload
-    injection campaigns across domains; each workload draws from its own
-    generator split serially off the master stream, so results are
-    independent of the job count. With [obs], each workload's engine
-    reports into a child sink merged back in workload order. *)
+    design, the Figure 9 workload subset. {!Sweep.run} over {!plan}:
+    [jobs] fans the per-workload injection campaigns across domains;
+    each workload draws from its own generator split serially off the
+    master stream, so results are independent of the job count. With
+    [obs], each workload's engine reports into a child sink merged back
+    in workload order. *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout. *)

@@ -79,31 +79,18 @@ let of_rows rows =
     max_label = max_row.label;
   }
 
+let plan ~instrs_per_core ~seed ~same ~mixes ~config =
+  {
+    Sweep.shared = Sweep.no_shared;
+    units = cases ~same ~seed ~mixes ();
+    run_unit = (fun () -> case_row ~instrs_per_core ~seed ~config);
+    merge = of_rows;
+  }
+
 let run ?jobs ?(instrs_per_core = 400_000) ?(seed = 7L)
     ?(same = Ptg_workloads.Workload.all) ?(mixes = 16)
     ?(config = Ptguard.Config.baseline) ?obs () =
-  let cases = cases ~same ~seed ~mixes () in
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink ->
-        Array.init (List.length cases) (fun _ -> Ptg_obs.Sink.child sink)
-  in
-  let rows =
-    Array.to_list
-      (Pool.parallel_map ?jobs
-         (fun (i, case) ->
-           let obs =
-             if Array.length children = 0 then None else Some children.(i)
-           in
-           case_row ?obs ~instrs_per_core ~seed ~config case)
-         (Array.of_list (List.mapi (fun i case -> (i, case)) cases)))
-  in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  of_rows rows
+  Sweep.run ?jobs ?obs (plan ~instrs_per_core ~seed ~same ~mixes ~config)
 
 let header = [ "configuration"; "workloads"; "IPC_b"; "IPC/IPC_b"; "slowdown"; "queue delay" ]
 

@@ -22,30 +22,20 @@ type result = {
   max_label : string;
 }
 
-val cases :
-  ?same:Ptg_workloads.Workload.spec list ->
-  seed:int64 ->
-  mixes:int ->
-  unit ->
-  (string * Ptg_workloads.Workload.spec array) list
-(** The labelled SAME and MIX core compositions, in presentation order.
-    MIXes are drawn serially from a seed-derived stream, so the list is
-    deterministic and cheap to re-derive (a checkpoint-resumed slice
-    recomputes it rather than storing it). *)
-
-val case_row :
-  ?obs:Ptg_obs.Sink.t ->
+val plan :
   instrs_per_core:int ->
   seed:int64 ->
+  same:Ptg_workloads.Workload.spec list ->
+  mixes:int ->
   config:Ptguard.Config.t ->
-  string * Ptg_workloads.Workload.spec array ->
-  row
-(** One case's unprotected-vs-guarded 4-core comparison. Independent of
-    every other case. *)
-
-val of_rows : row list -> result
-(** Aggregate completed rows (in case order) into the section's
-    average/worst summary. Raises on []. *)
+  (unit, string * Ptg_workloads.Workload.spec array, row, result) Sweep.t
+(** The sweep {!run} computes. Units are the labelled SAME and MIX core
+    compositions in presentation order; MIXes are drawn serially from a
+    seed-derived stream, so the list is deterministic and cheap to
+    re-derive (a checkpoint-resumed slice recomputes it rather than
+    storing it). Each unit is one unprotected-vs-guarded 4-core
+    comparison, independent of every other; the merge is the section's
+    average/worst summary. *)
 
 val run :
   ?jobs:int ->
@@ -59,9 +49,9 @@ val run :
   result
 (** Defaults: every workload as a SAME configuration (the paper runs 18)
     plus 16 random MIXes, 400K instructions per core, baseline design.
-    [jobs] fans the SAME/MIX cases across domains; results are
-    independent of the job count. With [obs], each case's guard reports
-    into a child sink merged back in case order. *)
+    {!Sweep.run} over {!plan}: [jobs] fans the SAME/MIX cases across
+    domains; results are independent of the job count. With [obs], each
+    case's guard reports into a child sink merged back in case order. *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout. *)

@@ -110,6 +110,17 @@ let resolve_workload_names t =
   | Some names -> names
   | None -> Ptg_workloads.Workload.names
 
+(* The design at the resolved MAC latency, and the workload specs by
+   name ([check] has vetted every name). *)
+let resolve_config t =
+  Ptguard.Config.with_mac_latency (config_of_design t.design)
+    (resolve_mac_latency t)
+
+let resolve_workloads t =
+  List.map
+    (fun name -> Option.get (Ptg_workloads.Workload.by_name name))
+    (resolve_workload_names t)
+
 let resolve_processes t =
   match (t.processes, t.reduced) with
   | Some p, _ -> p
@@ -215,20 +226,13 @@ let check t =
 (* Canonical form and content hash                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* FNV-1a, 64-bit: tiny, dependency-free, and stable across runs and
-   platforms — exactly what a cache key and a trace payload need. Not
-   adversarially collision-resistant; the cache is an optimization, not a
-   security boundary (and a collision only ever returns another
-   deterministic experiment report). *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
+(* FNV-1a, 64-bit — the hash the snapshot store checksums and keys with:
+   tiny, dependency-free, and stable across runs and platforms — exactly
+   what a cache key and a trace payload need. Not adversarially
+   collision-resistant; the cache is an optimization, not a security
+   boundary (and a collision only ever returns another deterministic
+   experiment report). *)
+let fnv1a64 = Ptg_snapshot.Codec.fnv1a64
 
 (* Trace scenarios cache by what the trace *contains*, not where it
    lives: two paths with identical bytes share a cache entry, and
@@ -360,15 +364,7 @@ let run ?obs t =
   let jobs = t.jobs in
   match t.kind with
   | Fig6 ->
-      let config =
-        Ptguard.Config.with_mac_latency (config_of_design t.design)
-          (resolve_mac_latency t)
-      in
-      let workloads =
-        List.map
-          (fun name -> Option.get (Ptg_workloads.Workload.by_name name))
-          (resolve_workload_names t)
-      in
+      let config = resolve_config t and workloads = resolve_workloads t in
       let instrs = resolve_instrs t and warmup = resolve_warmup t in
       if t.seeds > 1 then
         Fig6_multi_out

@@ -89,9 +89,12 @@ val resolve_mac_latency : t -> int
 val resolve_workload_names : t -> string list
 val resolve_lines : t -> int
 val resolve_mixes : t -> int
+val resolve_config : t -> Ptguard.Config.t
+val resolve_workloads : t -> Ptg_workloads.Workload.spec list
 (** Kind-aware defaults, as {!canonical} resolves them — exposed for
     drivers (the checkpoint layer) that must reproduce {!run}'s exact
-    parameters. *)
+    parameters. [resolve_config] is the design at the resolved MAC
+    latency; [resolve_workloads] the specs of the resolved names. *)
 
 val canonical : t -> string
 (** Single-line JSON, sorted keys, defaults resolved, kind-relevant

@@ -9,6 +9,10 @@
 #      part of runtest, but kept addressable for quick iteration
 #   5. grep gate: no bare `with _ -> ()` in lib/server — every dropped
 #      exception there must be classified or counted
+#   5b. grep gate: `Ptg_obs.Sink.child` and `Snapshot.store_counts` each
+#      occur in exactly one lib/sim module — the batched experiments
+#      share one obs fan-out (Sweep) and one store-adoption loop
+#      (Checkpoint), so a second copy of either cannot creep back
 #   6. crypto tier alone (dune build @crypto) — the batched-QARMA
 #      differential oracle, golden vectors and Block128 algebra, also
 #      part of runtest but addressable for quick cipher iteration
@@ -61,6 +65,17 @@ if grep -rn 'with _ -> ()' lib/server; then
     exit 1
 fi
 echo "OK: lib/server swallows no exception silently"
+
+echo "== one obs fan-out and one store-adoption loop in lib/sim =="
+for sym in 'Ptg_obs.Sink.child' 'Snapshot.store_counts'; do
+    modules=$(grep -rlF "$sym" lib/sim | sed 's/\.mli\{0,1\}$//' | sort -u)
+    count=$(printf '%s' "$modules" | grep -c .) || true
+    if [ "$count" -ne 1 ]; then
+        echo "FAIL: $sym in $count lib/sim modules (want exactly 1):" $modules >&2
+        exit 1
+    fi
+    echo "OK: $sym only in $modules"
+done
 
 echo "== crypto tier (dune build @crypto) =="
 dune build @crypto

@@ -7,4 +7,6 @@ let () =
       ("snapshot.codec", Test_snapshot_codec.suite);
       ("snapshot.container", Test_snapshot_container.suite);
       ("snapshot.resume", Test_snapshot_resume.suite);
+      ("snapshot.format", Test_snapshot_format.suite);
+      ("snapshot.keys", Test_snapshot_keys.suite);
     ]

@@ -50,4 +50,5 @@ let () =
       ("fullsys", Test_fullsys.suite);
       ("obs.integration", Test_obs_integration.suite);
       ("cli", Test_cli.suite);
+      ("cli.checkpoint", Test_cli_checkpoint.suite);
     ]
