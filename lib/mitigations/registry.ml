@@ -259,10 +259,8 @@ let require_pt_row ~plugin ctx =
 (* ------------------------------------------------------------------ *)
 (* Built-in defenses                                                   *)
 (*                                                                     *)
-(* The bodies below are the reference implementations; the             *)
-(* Mitigation.attach_* entry points are thin wrappers over             *)
-(* [instantiate] and serve as the differential oracles for the         *)
-(* registry path (see test/test_registry.ml).                          *)
+(* [instantiate] is the only way to build one; range violations raise  *)
+(* Invalid_argument here and come back from it as [Error msg].         *)
 (* ------------------------------------------------------------------ *)
 
 let refresh_neighbors t dram ~channel ~bank ~row =
@@ -284,10 +282,10 @@ type trr_bank = {
 }
 
 let make_trr ~sampler_size ~ref_interval_acts ~sample_window dram =
-  if sampler_size < 1 then invalid_arg "Mitigation.attach_trr: sampler_size";
+  if sampler_size < 1 then invalid_arg "trr: sampler_size must be >= 1";
   if ref_interval_acts < 1 then
-    invalid_arg "Mitigation.attach_trr: ref_interval_acts";
-  if sample_window < 0 then invalid_arg "Mitigation.attach_trr: sample_window";
+    invalid_arg "trr: ref_interval_acts must be >= 1";
+  if sample_window < 0 then invalid_arg "trr: sample_window must be >= 0";
   let t = make_instance "TRR" in
   let banks : (int * int, trr_bank) Hashtbl.t = Hashtbl.create 32 in
   let bank_state channel bank =
@@ -402,7 +400,7 @@ let make_trr ~sampler_size ~ref_interval_acts ~sample_window dram =
 (* --- PARA ------------------------------------------------------------ *)
 
 let make_para ~p ~rng dram =
-  if p < 0.0 || p > 1.0 then invalid_arg "Mitigation.attach_para: p";
+  if p < 0.0 || p > 1.0 then invalid_arg "para: p must be in [0, 1]";
   let t = make_instance "PARA" in
   t.save <-
     (fun () ->
@@ -438,7 +436,7 @@ type graphene_bank = {
 }
 
 let make_graphene ~counters ~threshold dram =
-  if counters < 1 || threshold < 1 then invalid_arg "Mitigation.attach_graphene";
+  if counters < 1 || threshold < 1 then invalid_arg "graphene: counters and threshold must be >= 1";
   let t = make_instance "Graphene" in
   let banks : (int * int, graphene_bank) Hashtbl.t = Hashtbl.create 32 in
   let bank_state channel bank =
@@ -519,7 +517,7 @@ let make_graphene ~counters ~threshold dram =
 (* --- SoftTRR ---------------------------------------------------------- *)
 
 let make_soft_trr ~threshold ~pt_row dram =
-  if threshold < 1 then invalid_arg "Mitigation.attach_soft_trr: threshold";
+  if threshold < 1 then invalid_arg "soft-trr: threshold must be >= 1";
   let t = make_instance "SoftTRR" in
   let geometry = Ptg_dram.Dram.geometry dram in
   (* aggressor (channel, bank, row) -> activations seen since the guarded

@@ -5,23 +5,49 @@
     name, with a schema of typed parameters (ints, floats, booleans,
     each with a default), and every front-end — the CLI's
     [trace replay --mitigation], the server's [kind:"trace"] scenarios,
-    and the programmatic {!Mitigation.attach_trr}-style wrappers —
-    instantiates it through the same validated path. Unknown plugin
-    names, unknown parameter keys and type mismatches are rejected with
-    messages that name the valid alternatives.
+    and the experiments that attach a mitigation in code — instantiates
+    it through the same validated path ({!instantiate}). Unknown plugin
+    names, unknown parameter keys, type mismatches and out-of-range
+    values are rejected with messages that name the problem.
 
-    Built-ins registered at load time: [trr], [para], [soft-trr],
-    [graphene] (see {!Mitigation} for their semantics). *)
+    Built-ins registered at load time, the baseline Rowhammer
+    mitigations that breakthrough attacks defeat (paper Sections II-B
+    and VIII-B). Each subscribes to a DRAM's activation stream and
+    issues victim refreshes through {!Ptg_dram.Dram.refresh_row}; those
+    refreshes disturb their own neighbours in the fault model, which is
+    the lever Half-Double exploits.
+
+    - [trr] ([sampler_size] 4, [ref_interval_acts] 166,
+      [sample_window] 8): an in-DRAM sampler that observes only the
+      first [sample_window] activations of each REF interval and, at
+      every REF, refreshes both neighbours of its hottest entry; a full
+      sampler evicts its oldest entry and that count is lost. The
+      bounded sampler and predictable window are what TRRespass/SMASH
+      exploit.
+    - [para] ([p] 0.001): stateless; refreshes each neighbour with
+      probability [p] on every activation. Needs [ctx.rng].
+    - [soft-trr] ([threshold] 2500): SoftTRR (Zhang et al., ATC 2022),
+      paper Section II-E.3. The OS counts activations of rows adjacent
+      to page-table rows ([ctx.pt_row]) and refreshes the PT row at
+      [threshold]. Distance-2 hammering and the in-DRAM mitigation's
+      own refreshes are invisible to it — the Half-Double blind spot.
+    - [graphene] ([counters] 128, [threshold] 2500): Misra-Gries
+      counters per bank; refreshes a row's neighbours when its
+      estimated count reaches [threshold], then resets it. It never
+      misses a row over the threshold, but the threshold is fixed at
+      design time. *)
 
 type instance
-(** A live mitigation subscribed to a DRAM device. [Mitigation.t] is an
-    alias of this type; use {!Mitigation.name},
-    {!Mitigation.refreshes_issued} and {!Mitigation.detach} (re-exported
-    below) to interact with one. *)
+(** A live mitigation subscribed to a DRAM device. *)
 
 val instance_name : instance -> string
+(** ["TRR"], ["PARA"], ["SoftTRR"] or ["Graphene"]. *)
+
 val refreshes_issued : instance -> int
+(** Victim refreshes this mitigation has issued. *)
+
 val detach : instance -> unit
+(** Stop reacting to DRAM events (the subscription is silenced). *)
 
 val save_state : instance -> (string * int64) list
 (** The plugin's mutable state as a flat, canonically-ordered key/value

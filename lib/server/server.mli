@@ -29,13 +29,8 @@
     the scheduler requeues the remainder (up to [slices] times per
     request), and the waiter — kept alive by streamed [progress] frames
     on v2 — receives the final slice's result, byte-identical to an
-    uninterrupted run. Connections carry socket read/write timeouts
-    ([idle_timeout_s]) so idle or non-reading peers cannot hold handler
-    threads; accepts beyond [max_conns] are shed at accept time with a
-    best-effort [overloaded] frame; accept-loop resource errors
-    (EMFILE/ENFILE) back off briefly instead of busy-looping; and
-    shutdown force-closes stragglers after [drain_deadline_s]. {!Faults}
-    can inject each failure for chaos tests.
+    uninterrupted run. {!Faults} can inject each failure for chaos
+    tests.
 
     Protocol v2 ({!Protocol}): responses mirror the request's version,
     so v1 clients interoperate unchanged. v2 adds [hello] version
@@ -50,15 +45,25 @@
     which also makes a forced drain lossless: interrupted runs resume
     where they stopped after a restart over the same store.
 
-    Connection I/O runs on one thread per accepted connection; the
-    compute pool is [workers] domains. With an [obs] sink the server
-    reports per-request latency histograms, queue-depth and
-    drain-duration gauges, served/shed/coalesced/error/timeout,
-    connection-shed/idle-closed/accept-error, fault-injection and
-    pool-dropped-exception counters, cache hit/miss/eviction counters,
-    and a [server_request] trace event per request. *)
+    Connection I/O is {!Frontend}'s: one thread per connection, idle
+    timeouts ([idle_timeout_s]), accept-time shedding past [max_conns],
+    EMFILE/ENFILE backoff, and a shutdown drain that force-closes
+    stragglers after [drain_deadline_s]. The compute pool is [workers]
+    domains.
 
-type addr =
+    Counting has one source: every event counter ([server_*_total]:
+    served/shed/coalesced/error/timeout/cancelled, cache
+    hit/miss/eviction, warm-start/sliced/orphaned-stop, connection
+    shed/idle-closed/accept-error, fault-injection, pool-dropped
+    exception), the latency histogram and the queue-depth and
+    drain-duration gauges live in the [obs] sink's registry, or in a
+    private registry without one, and {!stats} reads the same counters —
+    the two views cannot disagree. Two instances sharing one sink
+    therefore sum their counts in each other's [stats]. The
+    [server_request] trace event per request is recorded only with a
+    sink. *)
+
+type addr = Frontend.addr =
   | Unix_socket of string
   | Tcp of int  (** 127.0.0.1; port 0 binds an ephemeral port *)
 

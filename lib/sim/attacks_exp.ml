@@ -1,4 +1,5 @@
 open Ptg_util
+module Registry = Ptg_mitigations.Registry
 
 type row = {
   attack : string;
@@ -107,18 +108,23 @@ let run_scenario ~seed ~iterations scenario =
       ~rng:(Rng.split rng) dram
   in
   let pt_row ~channel:c ~bank:b ~row = c = channel && b = bank && row = victim_row in
+  let attach ?rng ?pt_row ?params name =
+    match Registry.instantiate ?params name (Registry.ctx ?rng ?pt_row dram) with
+    | Ok m -> m
+    | Error msg -> invalid_arg msg
+  in
   let mitigation =
     match scenario.mitigation with
     | No_mitigation -> None
-    | Trr -> Some (Ptg_mitigations.Mitigation.attach_trr dram)
-    | Para -> Some (Ptg_mitigations.Mitigation.attach_para ~rng:(Rng.split rng) dram)
+    | Trr -> Some (attach "trr")
+    | Para -> Some (attach ~rng:(Rng.split rng) "para")
     | Graphene { threshold } ->
-        Some (Ptg_mitigations.Mitigation.attach_graphene ~threshold dram)
-    | Soft_trr -> Some (Ptg_mitigations.Mitigation.attach_soft_trr ~pt_row dram)
+        Some (attach ~params:[ ("threshold", Registry.Int threshold) ] "graphene")
+    | Soft_trr -> Some (attach ~pt_row "soft-trr")
     | Soft_trr_and_trr ->
         (* the in-DRAM TRR runs underneath; report SoftTRR's refreshes *)
-        let _hw = Ptg_mitigations.Mitigation.attach_trr dram in
-        Some (Ptg_mitigations.Mitigation.attach_soft_trr ~pt_row dram)
+        let _hw = attach "trr" in
+        Some (attach ~pt_row "soft-trr")
   in
   let engine = Ptguard.Engine.create ~config:Ptguard.Config.optimized ~rng:(Rng.split rng) () in
   let planted = plant_pte_lines rng engine dram in
@@ -164,7 +170,7 @@ let run_scenario ~seed ~iterations scenario =
     rth = scenario.fault_config.Ptg_rowhammer.Fault_model.rth;
     activations;
     mitigation_refreshes =
-      Option.fold ~none:0 ~some:Ptg_mitigations.Mitigation.refreshes_issued mitigation;
+      Option.fold ~none:0 ~some:Registry.refreshes_issued mitigation;
     bit_flips;
     pte_lines_tampered = !tampered;
     detected = !detected;

@@ -264,11 +264,14 @@ let run_fullsys ?config ?pages ?key ?(keep = default_keep) ?every ?dir
       ~done_count:(fun () -> Fullsys.instrs_done m)
       ~advance:(fun step -> ignore (Fullsys.run m ~instrs:step))
       ~checkpoint:(fun () ->
-        Option.iter
-          (fun dir ->
-            save_if_absent ~keep ~dir ~key (Fullsys.instrs_done m) (fun () ->
-                fullsys_sections ~key m))
-          dir)
+        (* A stop before the first chunk stores nothing: a depth-0 file
+           would hold the whole fresh machine, and adoption starts at 1. *)
+        let n = Fullsys.instrs_done m in
+        if n > 0 then
+          Option.iter
+            (fun dir ->
+              save_if_absent ~keep ~dir ~key n (fun () -> fullsys_sections ~key m))
+            dir)
   in
   {
     f_result = Fullsys.totals m;

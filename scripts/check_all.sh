@@ -13,6 +13,11 @@
 #      occur in exactly one lib/sim module — the batched experiments
 #      share one obs fan-out (Sweep) and one store-adoption loop
 #      (Checkpoint), so a second copy of either cannot creep back
+#   5c. grep gate: `Unix.accept`, `SO_RCVTIMEO` and `SHUTDOWN_RECEIVE`
+#      each occur in exactly one lib/server module (Frontend), not
+#      counting the client's own outgoing sockets — server and router
+#      share one network front end, so a second accept loop, timeout
+#      policy or drain cannot creep back
 #   6. crypto tier alone (dune build @crypto) — the batched-QARMA
 #      differential oracle, golden vectors and Block128 algebra, also
 #      part of runtest but addressable for quick cipher iteration
@@ -72,6 +77,17 @@ for sym in 'Ptg_obs.Sink.child' 'Snapshot.store_counts'; do
     count=$(printf '%s' "$modules" | grep -c .) || true
     if [ "$count" -ne 1 ]; then
         echo "FAIL: $sym in $count lib/sim modules (want exactly 1):" $modules >&2
+        exit 1
+    fi
+    echo "OK: $sym only in $modules"
+done
+
+echo "== one network front end in lib/server =="
+for sym in 'Unix.accept' 'SO_RCVTIMEO' 'SHUTDOWN_RECEIVE'; do
+    modules=$(grep -rlF --exclude='client.ml' "$sym" lib/server | sed 's/\.mli\{0,1\}$//' | sort -u)
+    count=$(printf '%s' "$modules" | grep -c .) || true
+    if [ "$count" -ne 1 ]; then
+        echo "FAIL: $sym in $count lib/server modules (want exactly 1):" $modules >&2
         exit 1
     fi
     echo "OK: $sym only in $modules"

@@ -11,6 +11,8 @@ let () =
       ("server.v2", Test_server_v2.suite);
       ("server.router", Test_server_router.suite);
       ("server.slices", Test_server_slices.suite);
+      ("server.counters", Test_server_counters.suite);
+      ("server.frontend", Test_server_frontend.suite);
       ( "server.chaos",
         Test_server_faults.suite @ Test_server_router.chaos_suite
         @ Test_server_v2.chaos_suite @ Test_server_slices.chaos_suite );

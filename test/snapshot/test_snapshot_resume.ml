@@ -185,6 +185,29 @@ let test_store_pruned_to_deepest () =
           Alcotest.(check (option int))
             "survivor adopted" (Some 3_000) o.Checkpoint.f_resumed_from))
 
+(* A run stopped before its first chunk has nothing worth storing: a
+   depth-0 file would hold the whole fresh machine, and adoption only
+   reads depths >= 1, so it could never be used. Stopping twice must
+   leave no file and resume nothing. *)
+let test_stop_before_first_chunk_stores_nothing () =
+  with_dir (fun dir ->
+      let stop () =
+        Checkpoint.run_fullsys ~dir ~every:1_000
+          ~should_stop:(fun () -> true) ~seed ~instrs ()
+      in
+      let first = stop () in
+      let second = stop () in
+      Alcotest.(check int) "nothing ran" 0 second.Checkpoint.f_done;
+      Alcotest.(check (option int))
+        "first run is cold" None first.Checkpoint.f_resumed_from;
+      Alcotest.(check (option int))
+        "nothing falsely resumed" None second.Checkpoint.f_resumed_from;
+      Alcotest.(check (list string))
+        "no depth-0 file" []
+        (List.filter
+           (fun n -> Filename.check_suffix n ".0.ptgs")
+           (Array.to_list (Sys.readdir dir))))
+
 (* ------------------------------------------------------------------ *)
 (* Fig6 row batches                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +523,8 @@ let suite =
       test_store_bytes_deterministic;
     Alcotest.test_case "fullsys: store pruned to deepest" `Quick
       test_store_pruned_to_deepest;
+    Alcotest.test_case "fullsys: stop before the first chunk stores nothing"
+      `Quick test_stop_before_first_chunk_stores_nothing;
     Alcotest.test_case "fig6: batched = plain" `Quick
       test_fig6_batched_equals_plain;
     Alcotest.test_case "fig6: rows and store invariant under -j" `Quick

@@ -1,12 +1,11 @@
-(* Registry conformance: the registry-instantiated plugins must be
-   behaviorally identical to the hard-wired [Mitigation.attach_*]
-   constructors (kept as differential oracles), and the schema layer
-   must reject every malformed spec with an error naming the valid
-   alternatives. *)
+(* Registry conformance: a CLI spec string must build a plugin
+   behaviorally identical to the same typed parameters, and the schema
+   layer must reject every malformed spec with an error naming the valid
+   alternatives. Plugin behaviour itself is checked in
+   test_mitigation.ml. *)
 
 open Ptg_dram
 open Ptg_rowhammer
-open Ptg_mitigations
 module Registry = Ptg_mitigations.Registry
 
 let contains sub s =
@@ -35,21 +34,22 @@ let attack dram victim iterations =
        ~iterations ~start_time:0)
 
 (* Drive two fresh DRAM devices with the same attack, one mitigation per
-   construction path, and require identical refresh and flip counts. *)
+   spelling of the parameters, and require identical refresh and flip
+   counts. *)
 let differential name oracle registry_path =
   let run build =
     let dram, fault, victim = setup () in
     let m = build dram victim in
     attack dram victim 30_000;
-    (Mitigation.refreshes_issued m, Fault_model.flip_count fault)
+    (Registry.refreshes_issued m, Fault_model.flip_count fault)
   in
   let oracle_refreshes, oracle_flips = run oracle in
   let reg_refreshes, reg_flips = run registry_path in
   Alcotest.(check int)
-    (name ^ ": refreshes identical to attach_* oracle")
+    (name ^ ": refreshes identical to typed parameters")
     oracle_refreshes reg_refreshes;
   Alcotest.(check int)
-    (name ^ ": flips identical to attach_* oracle")
+    (name ^ ": flips identical to typed parameters")
     oracle_flips reg_flips
 
 let instantiate_exn ?params name ctx =
@@ -68,51 +68,14 @@ let test_names () =
     [ "trr"; "para"; "soft-trr"; "graphene" ]
     (Registry.names ())
 
-let test_trr_differential () =
-  differential "trr"
-    (fun dram _ -> Mitigation.attach_trr dram)
-    (fun dram _ -> instantiate_exn "trr" (Registry.ctx dram));
-  (* Non-default parameters through both paths too. *)
-  differential "trr sampler_size=2"
-    (fun dram _ -> Mitigation.attach_trr ~sampler_size:2 dram)
-    (fun dram _ ->
-      instantiate_exn
-        ~params:[ ("sampler_size", Registry.Int 2) ]
-        "trr" (Registry.ctx dram))
-
-let test_para_differential () =
-  differential "para"
-    (fun dram _ -> Mitigation.attach_para ~p:0.002 ~rng:(Ptg_util.Rng.create 8L) dram)
+let test_of_spec_differential () =
+  (* The CLI's spec string parses to the typed overrides. *)
+  differential "para via spec string"
     (fun dram _ ->
       instantiate_exn
         ~params:[ ("p", Registry.Float 0.002) ]
         "para"
         (Registry.ctx ~rng:(Ptg_util.Rng.create 8L) dram))
-
-let test_graphene_differential () =
-  differential "graphene"
-    (fun dram _ -> Mitigation.attach_graphene ~threshold:2500 dram)
-    (fun dram _ ->
-      instantiate_exn
-        ~params:[ ("threshold", Registry.Int 2500) ]
-        "graphene" (Registry.ctx dram))
-
-let test_soft_trr_differential () =
-  differential "soft-trr"
-    (fun dram victim ->
-      Mitigation.attach_soft_trr
-        ~pt_row:(fun ~channel:_ ~bank:_ ~row -> row = victim)
-        dram)
-    (fun dram victim ->
-      instantiate_exn "soft-trr"
-        (Registry.ctx
-           ~pt_row:(fun ~channel:_ ~bank:_ ~row -> row = victim)
-           dram))
-
-let test_of_spec_differential () =
-  (* The CLI's spec string is a third equivalent construction path. *)
-  differential "para via spec string"
-    (fun dram _ -> Mitigation.attach_para ~p:0.002 ~rng:(Ptg_util.Rng.create 8L) dram)
     (fun dram _ ->
       of_spec_exn "para:p=0.002" (Registry.ctx ~rng:(Ptg_util.Rng.create 8L) dram))
 
@@ -209,14 +172,6 @@ let test_spec_help () =
 let suite =
   [
     Alcotest.test_case "built-in names" `Quick test_names;
-    Alcotest.test_case "trr differential vs attach_trr" `Quick
-      test_trr_differential;
-    Alcotest.test_case "para differential vs attach_para" `Quick
-      test_para_differential;
-    Alcotest.test_case "graphene differential vs attach_graphene" `Quick
-      test_graphene_differential;
-    Alcotest.test_case "soft-trr differential vs attach_soft_trr" `Quick
-      test_soft_trr_differential;
     Alcotest.test_case "spec-string differential" `Quick
       test_of_spec_differential;
     Alcotest.test_case "unknown plugin rejected" `Quick test_unknown_plugin;
